@@ -3,13 +3,19 @@
 kappa measures the worst-case discrete-to-continuous amplification of the
 regularized fit applied to unit data; lambda measures the truncation
 leakage of the discarded singular directions, scaled by 1/epsilon.  Both
-are computed from the singular value decomposition of the sampled system
-together with a quadrature factor H of the continuous Gram (H* H = Gram):
+are continuous L2 norms, ||T V pinv(Sigma_eps)|| and
+(1 / eps) ||T V (I - I_eps)||, where I_eps selects the singular values
+strictly above the cutoff.  A quadrature factor H of the continuous Gram
+(H* H = Gram) turns the L2 norm of the expansion with coefficients x into
+||H x||.  Writing H = QR with Q having orthonormal columns gives
+||H X|| = ||Q R X|| = ||R X|| for every X, so both constants are computed
+from the N x N triangular factor R alone:
 
-    kappa  = || H V pinv(Sigma_eps) ||_2
-    lambda = (1 / eps) || H V (I - I_eps) ||_2
+    kappa  = || R V_r Sigma_r^-1 ||_2
+    lambda = (1 / eps) || R V_d ||_2
 
-where I_eps selects the singular values strictly above the cutoff.
+with V_r the kept and V_d the discarded right singular vectors.  R is
+computed once per frame by build_gram_factor and also feeds A'_{M,N}.
 """
 
 from __future__ import annotations
@@ -49,7 +55,7 @@ def compute_kappa(system: GramSystem, factor: GramFactor, epsilon: float) -> flo
     r = _kept_count(system.singular_values, epsilon)
     if r == 0:
         return 0.0
-    X = factor.matrix @ (system.Vt[:r].T / system.singular_values[:r])
+    X = factor.R @ (system.Vt[:r].T / system.singular_values[:r])
     return float(np.linalg.norm(X, 2))
 
 
@@ -62,7 +68,7 @@ def compute_lambda(system: GramSystem, factor: GramFactor, epsilon: float) -> fl
     r = _kept_count(system.singular_values, epsilon)
     if r == system.N:
         return 0.0
-    X = factor.matrix @ system.Vt[r:].T
+    X = factor.R @ system.Vt[r:].T
     return float(np.linalg.norm(X, 2)) / epsilon
 
 
@@ -109,7 +115,7 @@ def diagnose(system: GramSystem, factor: GramFactor, epsilon: float) -> Diagnost
     lam = compute_lambda(system, factor, epsilon)
     s = system.singular_values
     A_lower = system.frame.A_lower if system.frame is not None else 1.0
-    a_prime = _richness_from_matrices(system.matrix, factor.matrix)
+    a_prime = _richness_from_matrices(system.matrix, factor.R)
     return DiagnosticsReport(
         kappa=kappa,
         lam=lam,
@@ -154,19 +160,24 @@ def stable_sampling_rate(
         M_max = 64 * N
     if stride is None:
         stride = max(1, N // 20)
+
+    def accepts(value: float, scheme: SamplingScheme) -> bool:
+        if form == "constant":
+            return math.sqrt(frame.A_lower) * value <= theta
+        a_prime = scheme.A_prime if scheme.A_prime is not None else 1.0
+        return value <= theta / math.sqrt(a_prime)
+
     factor = build_gram_factor(frame)
     for M in range(N, M_max + 1, stride):
         scheme = scheme_family.realize(M)
         system = build_system(frame, scheme)
         kappa = compute_kappa(system, factor, epsilon)
-        lam = compute_lambda(system, factor, epsilon)
-        if form == "constant":
-            if math.sqrt(frame.A_lower) * max(kappa, lam) <= theta:
-                return M
-        else:
-            a_prime = scheme.A_prime if scheme.A_prime is not None else 1.0
-            if max(kappa, lam) <= theta / math.sqrt(a_prime):
-                return M
+        # the test is monotone in max(kappa, lambda): lambda cannot rescue
+        # a step that kappa alone fails, so it is only computed when needed
+        if not accepts(kappa, scheme):
+            continue
+        if accepts(max(kappa, compute_lambda(system, factor, epsilon)), scheme):
+            return M
     return None
 
 
@@ -205,7 +216,7 @@ def constants_sweep(
         frame = frame_family(N)
         system = build_system(frame, scheme_family.realize(M))
         factor = factors[N]
-        a_prime = _richness_from_matrices(system.matrix, factor.matrix)
+        a_prime = _richness_from_matrices(system.matrix, factor.R)
         rows = []
         for eps in epsilons:
             rows.append(

@@ -65,9 +65,13 @@ class GramFactor:
 
     Row k of H holds sqrt(w_k) times the frame elements at quadrature
     node k, so H* H reproduces the pairwise L2(0, 1) inner products.
+    R is the N x N upper-triangular factor of H = QR (Q with orthonormal
+    columns), so R* R is the same Gram and ||H X|| = ||R X|| for every X:
+    the stability constants need only R.
     """
 
     matrix: np.ndarray
+    R: np.ndarray
     rule: QuadratureRule
     frame: FrameSpec
 
@@ -114,6 +118,8 @@ def build_gram_factor(
 ) -> GramFactor:
     """Quadrature factor H of the continuous Gram of the first N frame elements.
 
+    Also holds the triangular factor R of H, computed here once per frame.
+
     The default rule subdivides geometrically toward the singular endpoint
     with per-cell order scaled to N, which keeps every Gram entry accurate
     to about 1e-10 or better through N = 60.
@@ -127,7 +133,7 @@ def build_gram_factor(
     if rule is None:
         rule = hp_log_quadrature(levels=40, order=max(12, N + 12))
     H = np.sqrt(rule.weights)[:, None] * element_matrix(frame, rule.nodes).T
-    return GramFactor(matrix=H, rule=rule, frame=frame)
+    return GramFactor(matrix=H, R=np.linalg.qr(H, mode="r"), rule=rule, frame=frame)
 
 
 def continuous_gram(factor: GramFactor) -> np.ndarray:

@@ -246,13 +246,13 @@ def richness_estimate(scheme: SamplingScheme, frame: FrameSpec, N: int) -> float
     sub = _subframe(frame, N)
     system = gram.build_system(sub, scheme)
     factor = gram.build_gram_factor(sub, N)
-    return _richness_from_matrices(system.matrix, factor.matrix)
+    return _richness_from_matrices(system.matrix, factor.R)
 
 
-def _richness_from_matrices(G: np.ndarray, H: np.ndarray) -> float:
+def _richness_from_matrices(G: np.ndarray, R: np.ndarray) -> float:
+    # R is the triangular Gram factor (R* R = Gram) held by the GramFactor
     import scipy.linalg
 
-    R = np.linalg.qr(H, mode="r")
     diag = np.abs(np.diag(R))
     if np.min(diag) <= np.max(diag) * 1e3 * np.finfo(float).eps:
         raise np.linalg.LinAlgError("frame Gram numerically rank deficient")

@@ -1,10 +1,13 @@
 """Brute-force reference computations for the stability constants.
 
-The production code takes the economical route: it applies the Gram
-factor to the small right-singular blocks and asks for one spectral
-norm.  These oracles instead build the full operator matrices entry by
-entry and extract the largest eigenvalue of the associated quadratic
-form, so agreement is evidence and not tautology.
+The production code takes the economical route: it applies the N x N
+triangular factor R of the Gram factor (H = QR) to the small
+right-singular blocks and asks for one spectral norm.  These oracles
+instead apply the tall quadrature matrix H itself, build the full
+operator matrices entry by entry and extract the largest eigenvalue of
+the associated quadratic form.  Production no longer touches H after
+factoring it, so the H route here is an independent check and agreement
+is evidence and not tautology.
 """
 
 import numpy as np

@@ -50,13 +50,18 @@ def test_constants_match_dense_oracle():
         (12, 3, sampling.chebyshev_point_scheme(24), 1e-6),
         (10, 2, sampling.inner_product_scheme(20), 1e-5),
         (12, 5, sampling.equispaced_point_scheme(18), 1e-3),
+        # production applies the N x N factor R, the oracle the tall H
+        (60, 5, sampling.legendre_point_scheme(120), 1e-5),
+        (60, 5, sampling.legendre_point_scheme(180), 1e-5),
+        (40, 5, sampling.equispaced_point_scheme(80), 1e-5),
+        (40, 5, sampling.inner_product_scheme(80), 1e-5),
     ]
     for N, K, scheme, eps in cells:
         frame, factor, system = _cell(N, K, scheme)
         kappa = diagnostics.compute_kappa(system, factor, eps)
         lam = diagnostics.compute_lambda(system, factor, eps)
-        assert kappa == pytest.approx(oracles.dense_kappa(system, factor, eps), rel=1e-6)
-        assert lam == pytest.approx(oracles.dense_lambda(system, factor, eps), rel=1e-6)
+        assert kappa == pytest.approx(oracles.dense_kappa(system, factor, eps), rel=1e-8)
+        assert lam == pytest.approx(oracles.dense_lambda(system, factor, eps), rel=1e-8)
         sampled = oracles.random_vector_lower_estimate(system, factor, eps, 100, rng)
         assert sampled <= kappa * (1 + 1e-9)
 
@@ -127,6 +132,23 @@ def test_sweep_grid_and_ordering():
     for row in rows:
         assert row.M == max(row.N, int(np.ceil(row.gamma * row.N)))
         assert row.kappa > 0 and row.A_prime_MN > 0
+
+
+def test_sweep_factors_each_frame_once(monkeypatch):
+    qr_calls = []
+    real_qr = np.linalg.qr
+
+    def counting_qr(*args, **kwargs):
+        qr_calls.append(np.shape(args[0]))
+        return real_qr(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counting_qr)
+    rows = diagnostics.constants_sweep(
+        lambda n: frames.onb_plus_k(n, 2),
+        sampling.legendre_points(),
+        gammas=(1.0, 1.5, 2.0, 3.0), Ns=(5, 10), epsilons=(1e-5,))
+    assert len(rows) == 8
+    assert len(qr_calls) == 2
 
 
 def test_sweep_parallel_matches_serial():

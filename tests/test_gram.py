@@ -141,6 +141,16 @@ def test_gram_factor_matches_direct_quadrature():
     assert np.abs(G - direct).max() < 1e-13
 
 
+def test_gram_factor_triangular_factor_reproduces_gram():
+    frame = frames.onb_plus_k(20, 5)
+    factor = gram.build_gram_factor(frame)
+    H, R = factor.matrix, factor.R
+    assert R.shape == (20, 20)
+    assert np.array_equal(R, np.triu(R))
+    scale = np.linalg.norm(H, 2) ** 2
+    assert np.abs(R.T @ R - H.T @ H).max() < 1e-13 * scale
+
+
 def test_dump_matrix_format(tmp_path):
     path = tmp_path / "matrix.csv"
     gram.dump_matrix(np.array([[1.0 / 3.0, 2.0], [np.pi, 4.0]]), path)

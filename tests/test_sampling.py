@@ -113,7 +113,8 @@ def test_richness_regression_enriched_gauss_points():
     # slow approach to 1 from below is intrinsic to the log enrichment
     frame = frames.onb_plus_k(20, 5)
     value = sampling.richness_estimate(sampling.legendre_point_scheme(40), frame, 20)
-    assert value == pytest.approx(0.00023898856999156424, rel=1e-6)
+    # 50-digit mpmath: elements and both Grams on the same hp and Gauss-Legendre rules
+    assert value == pytest.approx(2.3898798895513e-4, rel=1e-6)
 
 
 def test_richness_increases_with_oversampling():
