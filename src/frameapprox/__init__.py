@@ -1,8 +1,6 @@
 """Regularized least-squares approximation in redundant frames on [0, 1]."""
 
 from .orthopoly import (
-    NodeFamily,
-    NodeKind,
     QuadratureRule,
     chebyshev_nodes,
     equispaced_nodes,
@@ -13,10 +11,8 @@ from .orthopoly import (
 )
 from .frames import (
     CoefficientVector,
-    FrameKind,
     FrameSpec,
     element_matrix,
-    frame_element,
     legendre_onb,
     onb_plus_k,
     synthesize,
@@ -29,7 +25,6 @@ from .sampling import (
     SchemeKind,
     chebyshev_point_scheme,
     chebyshev_points,
-    discrete_norm,
     equispaced_point_scheme,
     equispaced_points,
     inner_product_scheme,
@@ -44,9 +39,6 @@ from .gram import (
     GramSystem,
     build_gram_factor,
     build_system,
-    condition_number,
-    continuous_gram,
-    dump_matrix,
 )
 from .solver import (
     Approximant,
@@ -55,7 +47,6 @@ from .solver import (
     RegularizedSolution,
     approximate,
     error_report,
-    function_l2_norm,
     truncated_svd_solve,
     verify_coefficient_bound,
     verify_error_bound,

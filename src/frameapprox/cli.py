@@ -22,7 +22,14 @@ from . import diagnostics, frames, gram, orthopoly, sampling, solver
 
 DEFAULT_PROBES = (0.2, 0.5, 0.9, 1.0)
 
-_SCHEME_CHOICES = ("chebyshev", "chebyshev-weighted", "legendre", "equispaced", "inner")
+_SCHEME_FAMILIES = {
+    "chebyshev": sampling.chebyshev_points(),
+    "chebyshev-weighted": sampling.chebyshev_points(weighted=True),
+    "legendre": sampling.legendre_points(),
+    "equispaced": sampling.equispaced_points(),
+    "inner": sampling.inner_products(),
+}
+_SCHEME_CHOICES = tuple(_SCHEME_FAMILIES)
 _EXPERIMENTS = ("pointwise_error", "oversampling", "constants", "ssr", "single_approx")
 
 
@@ -127,20 +134,15 @@ class ExperimentConfig:
             raise ConfigError("workers must be at least 1")
 
     def frame_for(self, N: int) -> frames.FrameSpec:
-        if self.frame == "onb" or self.K == 0:
-            return frames.legendre_onb(N)
-        return frames.onb_plus_k(N, self.K, normalize_psi=self.normalize_psi)
+        try:
+            if self.frame == "onb" or self.K == 0:
+                return frames.legendre_onb(N)
+            return frames.onb_plus_k(N, self.K, normalize_psi=self.normalize_psi)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     def scheme_family(self) -> sampling.SchemeFamily:
-        if self.nodes == "chebyshev":
-            return sampling.chebyshev_points()
-        if self.nodes == "chebyshev-weighted":
-            return sampling.chebyshev_points(weighted=True)
-        if self.nodes == "legendre":
-            return sampling.legendre_points()
-        if self.nodes == "equispaced":
-            return sampling.equispaced_points()
-        return sampling.inner_products()
+        return _SCHEME_FAMILIES[self.nodes]
 
     def out_path(self) -> Path:
         return self.out if self.out is not None else Path(f"{self.experiment}.csv")
@@ -196,6 +198,7 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
         K = int(_get("K", 1))
         seed = int(_get("seed", 0))
         theta = float(_get("theta", 2.0))
+        workers = int(_get("workers", 1))
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
 
@@ -211,8 +214,6 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
         else:
             raise ConfigError(f"could not parse normalize_psi value {normalize!r}")
 
-    workers_raw = _get("workers", 1)
-    workers = int(workers_raw)
     env_cap = os.environ.get("FRAMEAPPROX_THREADS")
     if env_cap:
         try:

@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -98,7 +98,6 @@ class DiagnosticsReport:
 
     kappa: float
     lam: float
-    C: float
     kept_rank: int
     sigma_max: float
     sigma_min: float
@@ -134,12 +133,10 @@ def diagnose(system: GramSystem, factor: GramFactor, epsilon: float) -> Diagnost
     kappa = compute_kappa(system, factor, epsilon)
     lam = compute_lambda(system, factor, epsilon)
     s = system.singular_values
-    A_lower = system.frame.A_lower if system.frame is not None else 1.0
     a_prime = _richness_from_matrices(system.matrix, factor.R)
     return DiagnosticsReport(
         kappa=kappa,
         lam=lam,
-        C=math.sqrt(A_lower) * max(kappa, lam),
         kept_rank=_kept_count(s, epsilon),
         sigma_max=float(s[0]),
         sigma_min=float(s[-1]),
@@ -154,49 +151,29 @@ def stable_sampling_rate(
     N: int,
     theta: float,
     epsilon: float,
-    form: str = "auto",
     M_max: Optional[int] = None,
     stride: Optional[int] = None,
 ) -> Optional[int]:
-    """Smallest M >= N on the search grid whose constants meet the target theta.
+    """Smallest M >= N on the search grid with max(kappa, lambda) <= theta.
 
-    Two acceptance forms are implemented: "constant" requires
-    sqrt(A) max(kappa, lambda) <= theta, and "nominal" requires both
-    kappa and lambda <= theta / sqrt(A') with A' the scheme's nominal
-    lower constant.  "auto" picks "constant" for inner-product data and
-    "nominal" for point data; the two coincide when A = A' = 1.
     Returns None when the grid is exhausted without a hit.
     """
     if frame.N != N:
         raise ValueError("frame must have exactly N elements")
     if theta <= 1.0:
         raise ValueError("theta must be > 1")
-    if form == "auto":
-        probe = scheme_family.realize(max(N, 1))
-        form = "constant" if probe.kind is SchemeKind.BASIS_INNER_PRODUCTS else "nominal"
-    if form not in ("constant", "nominal"):
-        raise ValueError("form must be 'auto', 'constant', or 'nominal'")
     if M_max is None:
         M_max = 64 * N
     if stride is None:
         stride = max(1, N // 20)
 
-    def accepts(value: float, scheme: SamplingScheme) -> bool:
-        if form == "constant":
-            return math.sqrt(frame.A_lower) * value <= theta
-        a_prime = scheme.A_prime if scheme.A_prime is not None else 1.0
-        return value <= theta / math.sqrt(a_prime)
-
     factor = build_gram_factor(frame)
     for M in range(N, M_max + 1, stride):
-        scheme = scheme_family.realize(M)
-        system = build_system(frame, scheme)
-        kappa = compute_kappa(system, factor, epsilon)
-        # the test is monotone in max(kappa, lambda): lambda cannot rescue
-        # a step that kappa alone fails, so it is only computed when needed
-        if not accepts(kappa, scheme):
-            continue
-        if accepts(max(kappa, compute_lambda(system, factor, epsilon)), scheme):
+        system = build_system(frame, scheme_family.realize(M))
+        # lambda cannot rescue a step that kappa alone fails, so it is
+        # only computed when kappa passes
+        if (compute_kappa(system, factor, epsilon) <= theta
+                and compute_lambda(system, factor, epsilon) <= theta):
             return M
     return None
 

@@ -8,7 +8,6 @@ indices K..N-1 are the polynomials phi_0, ..., phi_{N-K-1}.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -18,12 +17,10 @@ import numpy as np
 from .orthopoly import legendre_table
 
 __all__ = [
-    "FrameKind",
     "FrameSpec",
     "CoefficientVector",
     "legendre_onb",
     "onb_plus_k",
-    "frame_element",
     "element_matrix",
     "synthesize",
     "target_function",
@@ -33,23 +30,16 @@ __all__ = [
 _LOG_NORM_SQ = 2.0
 
 
-class FrameKind(enum.Enum):
-    LEGENDRE_ONB = "legendre_onb"
-    ONB_PLUS_K = "onb_plus_k"
-
-
 @dataclass(frozen=True)
 class FrameSpec:
-    """A truncated frame of N elements with certified frame bounds.
+    """A truncated frame of N elements, the first K of them weighted.
 
-    A_lower and B_upper bound the frame constants of the full (infinite)
-    system the truncation is drawn from, not of the truncation itself.
+    B_upper bounds the upper frame constant of the full (infinite) system
+    the truncation is drawn from, not of the truncation itself.
     """
 
-    kind: FrameKind
     K: int
     N: int
-    A_lower: float
     B_upper: float
     normalize_psi: bool = False
     weight: Callable = field(default=np.log, repr=False, compare=False)
@@ -60,8 +50,6 @@ class FrameSpec:
             raise ValueError("N must be >= 1")
         if self.K < 0 or self.K > self.N:
             raise ValueError("K must satisfy 0 <= K <= N")
-        if self.kind is FrameKind.LEGENDRE_ONB and self.K != 0:
-            raise ValueError("a pure basis has K = 0")
         if self.normalize_psi and self.K > 1:
             raise ValueError("normalization is only defined for the single-element enrichment")
 
@@ -72,7 +60,7 @@ class FrameSpec:
 
 def legendre_onb(N: int) -> FrameSpec:
     """The first N orthonormal shifted Legendre polynomials (A = B = 1)."""
-    return FrameSpec(kind=FrameKind.LEGENDRE_ONB, K=0, N=N, A_lower=1.0, B_upper=1.0)
+    return FrameSpec(K=0, N=N, B_upper=1.0)
 
 
 def onb_plus_k(
@@ -100,10 +88,8 @@ def onb_plus_k(
     else:
         B_upper = 1.0 + weight_norm_sq * K * K
     return FrameSpec(
-        kind=FrameKind.ONB_PLUS_K,
         K=K,
         N=N,
-        A_lower=1.0,
         B_upper=B_upper,
         normalize_psi=normalize_psi,
         weight=weight if weight is not None else np.log,
@@ -149,17 +135,6 @@ def element_matrix(frame: FrameSpec, x) -> np.ndarray:
     if N > K:
         out[K:] = table[: N - K]
     return out
-
-
-def frame_element(frame: FrameSpec, j: int, x):
-    """Evaluate frame element j at x (scalar in, scalar out)."""
-    if j < 0 or j >= frame.N:
-        raise ValueError("element index out of range")
-    x_arr = np.asarray(x, dtype=float)
-    vals = element_matrix(frame, x_arr.ravel())[j]
-    if x_arr.ndim == 0:
-        return float(vals[0])
-    return vals.reshape(x_arr.shape)
 
 
 def synthesize(coeffs: CoefficientVector, x):

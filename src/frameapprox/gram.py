@@ -16,9 +16,6 @@ __all__ = [
     "GramFactor",
     "build_system",
     "build_gram_factor",
-    "continuous_gram",
-    "condition_number",
-    "dump_matrix",
 ]
 
 # node-block size for quadrature assembly, keeps the basis table memory bounded
@@ -35,7 +32,6 @@ class GramSystem:
     Vt: np.ndarray
     frame: Optional[FrameSpec] = None
     scheme: Optional[SamplingScheme] = None
-    rhs: Optional[np.ndarray] = None
 
     @property
     def M(self) -> int:
@@ -46,7 +42,7 @@ class GramSystem:
         return self.matrix.shape[1]
 
     @classmethod
-    def from_matrix(cls, matrix, frame=None, scheme=None, rhs=None) -> "GramSystem":
+    def from_matrix(cls, matrix, frame=None, scheme=None) -> "GramSystem":
         matrix = np.asarray(matrix, dtype=float)
         if matrix.ndim != 2:
             raise ValueError("matrix must be two dimensional")
@@ -55,8 +51,7 @@ class GramSystem:
         recon = np.linalg.norm(U @ (s[:, None] * Vt) - matrix)
         if scale > 0 and recon > 1e-12 * scale:
             raise np.linalg.LinAlgError("SVD reconstruction outside tolerance")
-        return cls(matrix=matrix, U=U, singular_values=s, Vt=Vt,
-                   frame=frame, scheme=scheme, rhs=rhs)
+        return cls(matrix=matrix, U=U, singular_values=s, Vt=Vt, frame=frame, scheme=scheme)
 
 
 @dataclass
@@ -92,20 +87,11 @@ def _assemble_inner_product_matrix(frame: FrameSpec, M: int, rule: QuadratureRul
     return G
 
 
-def build_system(
-    frame: FrameSpec,
-    scheme: SamplingScheme,
-    M: Optional[int] = None,
-    N: Optional[int] = None,
-) -> GramSystem:
+def build_system(frame: FrameSpec, scheme: SamplingScheme) -> GramSystem:
     """Sample every frame element, returning the M x N system with its SVD.
 
     Entry (m, j) is the m-th sampling functional applied to frame element j.
     """
-    if M is not None and M != scheme.M:
-        raise ValueError("M disagrees with scheme.M")
-    if N is not None and N != frame.N:
-        raise ValueError("N disagrees with frame.N")
     if scheme.kind is SchemeKind.WEIGHTED_POINT_VALUES:
         matrix = scheme.scales[:, None] * element_matrix(frame, scheme.nodes).T
     else:
@@ -113,10 +99,8 @@ def build_system(
     return GramSystem.from_matrix(matrix, frame=frame, scheme=scheme)
 
 
-def build_gram_factor(
-    frame: FrameSpec, N: Optional[int] = None, rule: Optional[QuadratureRule] = None
-) -> GramFactor:
-    """Quadrature factor H of the continuous Gram of the first N frame elements.
+def build_gram_factor(frame: FrameSpec, rule: Optional[QuadratureRule] = None) -> GramFactor:
+    """Quadrature factor H of the continuous Gram of the frame.
 
     Also holds the triangular factor R of H, computed here once per frame.
 
@@ -124,34 +108,7 @@ def build_gram_factor(
     with per-cell order scaled to N, which keeps every Gram entry accurate
     to about 1e-10 or better through N = 60.
     """
-    if N is None:
-        N = frame.N
-    if N != frame.N:
-        from .sampling import _subframe
-
-        frame = _subframe(frame, N)
     if rule is None:
-        rule = hp_log_quadrature(levels=40, order=max(12, N + 12))
+        rule = hp_log_quadrature(levels=40, order=max(12, frame.N + 12))
     H = np.sqrt(rule.weights)[:, None] * element_matrix(frame, rule.nodes).T
     return GramFactor(matrix=H, R=np.linalg.qr(H, mode="r"), rule=rule, frame=frame)
-
-
-def continuous_gram(factor: GramFactor) -> np.ndarray:
-    """The Gram matrix H* H of pairwise L2 inner products."""
-    return factor.matrix.T @ factor.matrix
-
-
-def condition_number(system: GramSystem) -> float:
-    """Ratio of extreme singular values; infinite when the smallest is 0."""
-    s = system.singular_values
-    if s[-1] == 0.0:
-        return float("inf")
-    return float(s[0] / s[-1])
-
-
-def dump_matrix(matrix: np.ndarray, path) -> None:
-    """Write a matrix to CSV, row-major, 17 significant digits, LF endings."""
-    matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-    with open(path, "w", newline="\n") as fh:
-        for row in matrix:
-            fh.write(",".join(format(v, ".17g") for v in row) + "\n")

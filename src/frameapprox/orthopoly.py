@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -10,8 +9,6 @@ import numpy as np
 
 __all__ = [
     "QuadratureRule",
-    "NodeKind",
-    "NodeFamily",
     "legendre_shifted",
     "legendre_table",
     "chebyshev_nodes",
@@ -55,31 +52,6 @@ class QuadratureRule:
         """Apply the rule to a callable f vectorized over the nodes."""
         vals = np.broadcast_to(np.asarray(f(self.nodes), dtype=float), self.nodes.shape)
         return float(self.weights @ vals)
-
-
-class NodeKind(enum.Enum):
-    CHEBYSHEV = "chebyshev"
-    GAUSS_LEGENDRE = "legendre"
-    EQUISPACED = "equispaced"
-
-
-@dataclass(frozen=True)
-class NodeFamily:
-    """A named family of M points in (0, 1)."""
-
-    kind: NodeKind
-    count: int
-
-    def __post_init__(self):
-        if self.count < 1:
-            raise ValueError("count must be >= 1")
-
-    def nodes(self) -> np.ndarray:
-        if self.kind is NodeKind.CHEBYSHEV:
-            return chebyshev_nodes(self.count)
-        if self.kind is NodeKind.GAUSS_LEGENDRE:
-            return gauss_legendre_rule(self.count).nodes
-        return equispaced_nodes(self.count)
 
 
 def legendre_table(max_degree: int, x) -> np.ndarray:

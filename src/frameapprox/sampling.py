@@ -10,13 +10,12 @@ Legendre orthonormal basis, evaluated by quadrature.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .orthopoly import (
-    NodeKind,
     QuadratureRule,
     chebyshev_nodes,
     equispaced_nodes,
@@ -40,7 +39,6 @@ __all__ = [
     "equispaced_points",
     "chebyshev_points",
     "sample",
-    "discrete_norm",
     "richness_estimate",
 ]
 
@@ -52,12 +50,11 @@ class SchemeKind(enum.Enum):
 
 @dataclass(frozen=True)
 class SamplingScheme:
-    """M sampling functionals plus certified discrete-norm constants.
+    """M sampling functionals.
 
     For point schemes `nodes` and `scales` hold the x_m and s_m; for the
     inner-product scheme `rule` holds the quadrature used to evaluate the
-    basis coefficients.  A_prime/B_prime are the nominal constants of the
-    associated discrete seminorm (None when the scheme is unnormalized).
+    basis coefficients.
     """
 
     kind: SchemeKind
@@ -65,9 +62,6 @@ class SamplingScheme:
     nodes: Optional[np.ndarray] = None
     scales: Optional[np.ndarray] = None
     rule: Optional[QuadratureRule] = None
-    node_kind: Optional[NodeKind] = None
-    A_prime: Optional[float] = None
-    B_prime: Optional[float] = None
 
     def __post_init__(self):
         if self.M < 1:
@@ -108,7 +102,7 @@ def inner_product_scheme(M: int, rule: Optional[QuadratureRule] = None) -> Sampl
     """Coefficients against the first M orthonormal Legendre polynomials.
 
     The default quadrature resolves both smooth integrands and integrands
-    with a log singularity at 0.  A = B = 1 for the associated seminorm.
+    with a log singularity at 0.
     """
     if rule is None:
         rule = _default_inner_rule(M)
@@ -116,45 +110,36 @@ def inner_product_scheme(M: int, rule: Optional[QuadratureRule] = None) -> Sampl
         kind=SchemeKind.BASIS_INNER_PRODUCTS,
         M=M,
         rule=rule,
-        A_prime=1.0,
-        B_prime=1.0,
     )
 
 
 def legendre_point_scheme(M: int) -> SamplingScheme:
-    """Gauss-Legendre points with square-root weight scaling (A' = B' = 1)."""
+    """Gauss-Legendre points with square-root weight scaling."""
     rule = gauss_legendre_rule(M)
     return SamplingScheme(
         kind=SchemeKind.WEIGHTED_POINT_VALUES,
         M=M,
         nodes=rule.nodes,
         scales=np.sqrt(rule.weights),
-        node_kind=NodeKind.GAUSS_LEGENDRE,
-        A_prime=1.0,
-        B_prime=1.0,
     )
 
 
 def equispaced_point_scheme(M: int) -> SamplingScheme:
-    """Midpoints of the uniform partition, scaled by sqrt(1/M) (A' = B' = 1)."""
+    """Midpoints of the uniform partition, scaled by sqrt(1/M)."""
     return SamplingScheme(
         kind=SchemeKind.WEIGHTED_POINT_VALUES,
         M=M,
         nodes=equispaced_nodes(M),
         scales=np.full(M, 1.0 / np.sqrt(M)),
-        node_kind=NodeKind.EQUISPACED,
-        A_prime=1.0,
-        B_prime=1.0,
     )
 
 
 def chebyshev_point_scheme(M: int, weighted: bool = False) -> SamplingScheme:
     """Chebyshev points, plain by default or with Gauss-Chebyshev scaling.
 
-    The plain variant returns raw point values (no normalized discrete
-    norm, so A'/B' are undefined); the weighted variant scales by the
-    square roots of the Gauss-Chebyshev quadrature weights, which makes
-    the discrete norm consistent with L2(0, 1) as M grows.
+    The plain variant returns raw point values; the weighted variant
+    scales by the square roots of the Gauss-Chebyshev quadrature weights,
+    which makes the discrete norm consistent with L2(0, 1) as M grows.
     """
     nodes = chebyshev_nodes(M)
     if not weighted:
@@ -163,7 +148,6 @@ def chebyshev_point_scheme(M: int, weighted: bool = False) -> SamplingScheme:
             M=M,
             nodes=nodes,
             scales=np.ones(M),
-            node_kind=NodeKind.CHEBYSHEV,
         )
     t = 2.0 * nodes - 1.0
     weights = np.pi * np.sqrt(1.0 - t * t) / (2.0 * M)
@@ -172,9 +156,6 @@ def chebyshev_point_scheme(M: int, weighted: bool = False) -> SamplingScheme:
         M=M,
         nodes=nodes,
         scales=np.sqrt(weights),
-        node_kind=NodeKind.CHEBYSHEV,
-        A_prime=1.0,
-        B_prime=1.0,
     )
 
 
@@ -182,28 +163,26 @@ def chebyshev_point_scheme(M: int, weighted: bool = False) -> SamplingScheme:
 class SchemeFamily:
     """A rule M -> SamplingScheme, used by sweeps that vary the data size."""
 
-    name: str
-    factory: Callable[[int], SamplingScheme] = field(compare=False)
+    factory: Callable[[int], SamplingScheme]
 
     def realize(self, M: int) -> SamplingScheme:
         return self.factory(M)
 
 
 def inner_products() -> SchemeFamily:
-    return SchemeFamily(name="inner_products", factory=inner_product_scheme)
+    return SchemeFamily(inner_product_scheme)
 
 
 def legendre_points() -> SchemeFamily:
-    return SchemeFamily(name="legendre_points", factory=legendre_point_scheme)
+    return SchemeFamily(legendre_point_scheme)
 
 
 def equispaced_points() -> SchemeFamily:
-    return SchemeFamily(name="equispaced_points", factory=equispaced_point_scheme)
+    return SchemeFamily(equispaced_point_scheme)
 
 
 def chebyshev_points(weighted: bool = False) -> SchemeFamily:
-    name = "chebyshev_points_weighted" if weighted else "chebyshev_points"
-    return SchemeFamily(name=name, factory=lambda M: chebyshev_point_scheme(M, weighted))
+    return SchemeFamily(lambda M: chebyshev_point_scheme(M, weighted))
 
 
 def _evaluate(f, x: np.ndarray) -> np.ndarray:
@@ -225,11 +204,6 @@ def sample(scheme: SamplingScheme, f) -> DataVector:
     return DataVector(values=values, scheme=scheme)
 
 
-def discrete_norm(scheme: SamplingScheme, f) -> float:
-    """Euclidean norm of the sample vector of f."""
-    return sample(scheme, f).norm()
-
-
 def richness_estimate(scheme: SamplingScheme, frame: FrameSpec, N: int) -> float:
     """Lower discrete-norm constant of the scheme over the span of the frame.
 
@@ -245,7 +219,7 @@ def richness_estimate(scheme: SamplingScheme, frame: FrameSpec, N: int) -> float
         raise ValueError("richness estimate requires scheme.M >= N")
     sub = _subframe(frame, N)
     system = gram.build_system(sub, scheme)
-    factor = gram.build_gram_factor(sub, N)
+    factor = gram.build_gram_factor(sub)
     return _richness_from_matrices(system.matrix, factor.R)
 
 

@@ -35,7 +35,6 @@ __all__ = [
     "ErrorReport",
     "verify_error_bound",
     "verify_coefficient_bound",
-    "function_l2_norm",
 ]
 
 DEFAULT_EPSILON = 1e-13
@@ -55,10 +54,6 @@ class RegularizedSolution:
     kept_rank: int
     residual_discrete: float
     system: GramSystem
-
-    @property
-    def kept(self) -> np.ndarray:
-        return np.arange(self.kept_rank)
 
 
 @dataclass
@@ -120,7 +115,6 @@ def approximate(
     frame: FrameSpec,
     scheme: Union[SamplingScheme, SchemeFamily],
     M: Optional[int] = None,
-    N: Optional[int] = None,
     epsilon: float = DEFAULT_EPSILON,
 ) -> Approximant:
     """Sample f, build the frame system, and solve with truncation at epsilon."""
@@ -128,10 +122,10 @@ def approximate(
         if M is None:
             raise ValueError("M is required when a scheme family is given")
         scheme = scheme.realize(M)
-    system = build_system(frame, scheme, M=M, N=N)
-    data = sample(scheme, f)
-    system.rhs = data.values
-    solution = truncated_svd_solve(system, data, epsilon)
+    elif M is not None and M != scheme.M:
+        raise ValueError("M disagrees with scheme.M")
+    system = build_system(frame, scheme)
+    solution = truncated_svd_solve(system, sample(scheme, f), epsilon)
     return Approximant(solution=solution, frame=frame)
 
 
@@ -165,14 +159,6 @@ def _verification_rule(N: int) -> QuadratureRule:
     # per-cell order scaled to N keeps products of frame elements at
     # per-cell exactness while still resolving the log singularity
     return hp_log_quadrature(levels=40, order=max(32, N + 12))
-
-
-def function_l2_norm(f, rule: Optional[QuadratureRule] = None) -> float:
-    """L2(0, 1) norm of a callable, by default on the singularity-graded rule."""
-    if rule is None:
-        rule = _verification_rule(32)
-    vals = np.asarray(f(rule.nodes), dtype=float)
-    return float(np.sqrt(rule.weights @ (vals * vals)))
 
 
 def _comparison_norms(system: GramSystem, f, z: np.ndarray, rule: QuadratureRule):

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from frameapprox import cli, orthopoly
+from frameapprox import cli, orthopoly, sampling
 
 
 def _read_csv(path):
@@ -112,11 +112,29 @@ def test_single_approx_summary(tmp_path, capsys):
     ["pointwise_error", "--N", "5", "--K", "-1"],
     ["bogus_experiment"],
     ["pointwise_error", "--N", "5", "--nodes", "hermite"],
+    ["pointwise_error", "--N", "5:5:10", "--K", "10"],  # K exceeds an N
+    ["pointwise_error", "--N", "10", "--K", "3", "--normalize-psi", "on"],
 ])
 def test_invalid_configurations_exit_one(argv, tmp_path, capsys):
     code = cli.main(argv + ["--out", str(tmp_path / "x.csv")])
     assert code == 1
     assert capsys.readouterr().err != ""
+
+
+@pytest.mark.parametrize("name,builder", [
+    ("chebyshev", sampling.chebyshev_point_scheme),
+    ("chebyshev-weighted", lambda M: sampling.chebyshev_point_scheme(M, weighted=True)),
+    ("legendre", sampling.legendre_point_scheme),
+    ("equispaced", sampling.equispaced_point_scheme),
+    ("inner", sampling.inner_product_scheme),
+])
+def test_node_names_select_their_scheme(name, builder):
+    got = cli.ExperimentConfig("constants", nodes=name).scheme_family().realize(12)
+    want = builder(12)
+    assert got.kind is want.kind
+    for attr in ("nodes", "scales"):
+        a, b = getattr(got, attr), getattr(want, attr)
+        assert (a is None and b is None) or np.array_equal(a, b)
 
 
 def test_numerical_failure_exits_two(tmp_path, monkeypatch):
@@ -167,6 +185,10 @@ def test_config_file_errors(tmp_path):
 
     assert cli.main(["pointwise_error", "--config", str(tmp_path / "missing.cfg"),
                      "--N", "5"]) == 1
+
+    bad_workers = tmp_path / "workers.cfg"
+    bad_workers.write_text("workers = two\n")
+    assert cli.main(["pointwise_error", "--config", str(bad_workers), "--N", "5"]) == 1
 
 
 def test_output_files_are_deterministic(tmp_path):

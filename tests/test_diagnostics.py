@@ -115,8 +115,6 @@ def test_diagnose_report_consistency():
     report = diagnostics.diagnose(system, factor, eps)
     assert report.kappa == pytest.approx(diagnostics.compute_kappa(system, factor, eps))
     assert report.lam == pytest.approx(diagnostics.compute_lambda(system, factor, eps))
-    assert report.C == pytest.approx(
-        np.sqrt(frame.A_lower) * max(report.kappa, report.lam))
     assert report.kept_rank == int(np.sum(system.singular_values > eps))
     assert report.sigma_max == system.singular_values[0]
     assert report.A_prime_MN == pytest.approx(

@@ -77,16 +77,6 @@ def test_equispaced_midpoint_riemann_convergence():
     assert errors[256] < 1.2e-6
 
 
-def test_node_family_dispatch():
-    for kind, builder in (
-        (orthopoly.NodeKind.CHEBYSHEV, orthopoly.chebyshev_nodes),
-        (orthopoly.NodeKind.GAUSS_LEGENDRE, lambda M: orthopoly.gauss_legendre_rule(M).nodes),
-        (orthopoly.NodeKind.EQUISPACED, orthopoly.equispaced_nodes),
-    ):
-        family = orthopoly.NodeFamily(kind, 9)
-        assert np.allclose(family.nodes(), builder(9), atol=0)
-
-
 def test_legendre_endpoint_value():
     for n in (0, 1, 5, 17):
         assert abs(orthopoly.legendre_shifted(n, 1.0) - np.sqrt(2 * n + 1)) < 1e-12

@@ -1,4 +1,4 @@
-"""Sampling schemes, discrete norms, and richness estimates."""
+"""Sampling schemes, sample norms, and richness estimates."""
 
 import numpy as np
 import pytest
@@ -13,14 +13,12 @@ def test_point_scheme_scales():
     rule = orthopoly.gauss_legendre_rule(9)
     assert np.allclose(leg.nodes, rule.nodes, atol=0)
     assert np.allclose(leg.scales, np.sqrt(rule.weights), atol=0)
-    assert leg.A_prime == 1.0 and leg.B_prime == 1.0
 
     eq = sampling.equispaced_point_scheme(8)
     assert np.allclose(eq.scales, np.sqrt(1.0 / 8), atol=0)
 
     cheb = sampling.chebyshev_point_scheme(8)
     assert np.allclose(cheb.scales, 1.0, atol=0)
-    assert cheb.A_prime is None and cheb.B_prime is None
 
 
 def test_weighted_chebyshev_scales():
@@ -29,7 +27,6 @@ def test_weighted_chebyshev_scales():
     t = 2 * scheme.nodes - 1
     expected = np.sqrt(np.pi * np.sqrt(1 - t ** 2) / (2 * M))
     assert np.allclose(scheme.scales, expected, atol=1e-15)
-    assert scheme.A_prime == 1.0 and scheme.B_prime == 1.0
 
 
 def test_inner_product_scheme_reproduces_basis_coefficients():
@@ -59,19 +56,19 @@ def test_sample_rejects_non_finite_values():
 def test_discrete_norm_weighted_points_approximates_l2_norm():
     # sqrt-weight scaling makes the discrete norm a Gauss estimate of ||f||
     scheme = sampling.legendre_point_scheme(30)
-    norm = sampling.discrete_norm(scheme, np.exp)
+    norm = sampling.sample(scheme, np.exp).norm()
     exact = np.sqrt((np.e ** 2 - 1.0) / 2.0)
     assert abs(norm - exact) < 1e-12
-    assert sampling.discrete_norm(sampling.legendre_point_scheme(6),
-                                  lambda x: np.ones_like(x)) == pytest.approx(1.0)
+    assert sampling.sample(sampling.legendre_point_scheme(6),
+                           lambda x: np.ones_like(x)).norm() == pytest.approx(1.0)
     phi2 = lambda x: orthopoly.legendre_shifted(2, x)
-    assert sampling.discrete_norm(sampling.legendre_point_scheme(32), phi2) \
+    assert sampling.sample(sampling.legendre_point_scheme(32), phi2).norm() \
         == pytest.approx(1.0, abs=1e-12)
 
 
 def test_discrete_norm_equispaced_riemann_convergence():
     exact = np.sqrt((np.e ** 2 - 1.0) / 2.0)
-    errs = [abs(sampling.discrete_norm(sampling.equispaced_point_scheme(M), np.exp)
+    errs = [abs(sampling.sample(sampling.equispaced_point_scheme(M), np.exp).norm()
                 - exact) for M in (16, 64, 256)]
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] < errs[0] / 100  # midpoint sums converge at second order

@@ -105,7 +105,7 @@ def test_residual_orthogonal_to_kept_directions():
 
 def test_approximate_recovers_basis_function_exactly():
     frame = frames.legendre_onb(8)
-    target = lambda x: frames.frame_element(frame, 3, x)
+    target = lambda x: frames.element_matrix(frame, x)[3]
     approx = solver.approximate(target, frame, sampling.inner_products(), M=8,
                                 epsilon=1e-12)
     expected = np.zeros(8)
@@ -135,16 +135,15 @@ def test_error_report_fields():
     assert len(report.errors) == 2
     assert report.max_error == np.max(report.errors)
     system = approx.solution.system
-    expected_resid = np.linalg.norm(
-        system.rhs - system.matrix @ approx.solution.coefficients.values)
+    y = sampling.sample(system.scheme, frames.target_function).values
+    expected_resid = np.linalg.norm(y - system.matrix @ approx.solution.coefficients.values)
     assert report.residual_discrete == pytest.approx(expected_resid, abs=1e-13)
 
 
-def test_function_l2_norms():
-    assert solver.function_l2_norm(lambda x: np.ones_like(x)) == pytest.approx(1.0)
-    assert solver.function_l2_norm(np.log) == pytest.approx(np.sqrt(2.0))
-    assert solver.function_l2_norm(np.exp) == pytest.approx(
-        np.sqrt((np.e ** 2 - 1.0) / 2.0))
+def test_approximate_rejects_m_disagreeing_with_scheme():
+    with pytest.raises(ValueError):
+        solver.approximate(frames.target_function, frames.onb_plus_k(6, 1),
+                           sampling.legendre_point_scheme(12), M=10)
 
 
 def _bound_ingredients(frame, scheme_family, M, eps):
@@ -193,5 +192,5 @@ def test_coefficient_bound_with_zero_z_controls_norm():
         approx.solution, frames.target_function, np.zeros(12))
     # with z = 0 the statement reads ||x|| <= ||f||_M / eps
     assert check.holds
-    assert check.rhs == pytest.approx(
-        np.linalg.norm(approx.solution.system.rhs) / 1e-6, rel=1e-10)
+    y = sampling.sample(approx.solution.system.scheme, frames.target_function)
+    assert check.rhs == pytest.approx(y.norm() / 1e-6, rel=1e-10)
