@@ -53,7 +53,6 @@ from .solver import (
 )
 from .diagnostics import (
     DiagnosticsReport,
-    SweepRow,
     compute_kappa,
     compute_lambda,
     constants_sweep,

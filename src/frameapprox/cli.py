@@ -213,6 +213,9 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
             normalize = False
         else:
             raise ConfigError(f"could not parse normalize_psi value {normalize!r}")
+    # checked on the keys given, since K defaults to 1 for the enriched frame
+    if _get("frame") == "onb" and (("K" in values and K != 0) or normalize is not None):
+        raise ConfigError("frame onb has no enrichment: K must be 0 and normalize_psi unset")
 
     env_cap = os.environ.get("FRAMEAPPROX_THREADS")
     if env_cap:
@@ -249,7 +252,10 @@ def _fmt(value) -> str:
 def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
     lines = [",".join(header)]
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n", newline="")
+    try:
+        path.write_text("\n".join(lines) + "\n", newline="")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _require_sweep(values: List[int], name: str) -> List[int]:
@@ -311,8 +317,8 @@ def run_constants(cfg: ExperimentConfig) -> Path:
         workers=cfg.workers,
     )
     rows = [
-        (r.gamma, r.N, r.M, r.epsilon, r.kappa, r.lam, r.kept_rank, r.A_prime_MN)
-        for r in sweep
+        (gamma, r.N, r.M, r.epsilon, r.kappa, r.lam, r.kept_rank, r.A_prime_MN)
+        for gamma, r in sweep
     ]
     path = cfg.out_path()
     _write_csv(path, ("gamma", "N", "M", "eps", "kappa", "lambda", "kept_rank", "A_prime"), rows)
@@ -327,7 +333,7 @@ def run_ssr(cfg: ExperimentConfig) -> Path:
     for N in Ns:
         frame = cfg.frame_for(N)
         for eps in cfg.epsilons:
-            theta_M = diagnostics.stable_sampling_rate(frame, family, N, cfg.theta, eps)
+            theta_M = diagnostics.stable_sampling_rate(frame, family, cfg.theta, eps)
             rows.append((N, cfg.theta, eps, -1 if theta_M is None else theta_M))
     path = cfg.out_path()
     _write_csv(path, ("N", "theta", "eps", "M_theta"), rows)
@@ -433,7 +439,7 @@ def _check_bound_invariants():
         kappa = diagnostics.compute_kappa(system, factor, eps)
         lam = diagnostics.compute_lambda(system, factor, eps)
         cap_b = np.sqrt(frame.B_upper) / eps
-        cap_a = 1.0 / np.sqrt(sampling.richness_estimate(system.scheme, frame, frame.N))
+        cap_a = 1.0 / np.sqrt(sampling.richness_estimate(system, factor))
         worst = max(worst, kappa / cap_b, lam / cap_b,
                     kappa / (cap_a * (1 + 1e-9)), lam / (cap_a * (1 + 1e-9)))
     return worst <= 1.0, f"worst cap ratio {worst:.6f}"

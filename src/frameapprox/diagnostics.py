@@ -5,17 +5,25 @@ regularized fit applied to unit data; lambda measures the truncation
 leakage of the discarded singular directions, scaled by 1/epsilon.  Both
 are continuous L2 norms, ||T V pinv(Sigma_eps)|| and
 (1 / eps) ||T V (I - I_eps)||, where I_eps selects the singular values
-strictly above the cutoff.  A quadrature factor H of the continuous Gram
-(H* H = Gram) turns the L2 norm of the expansion with coefficients x into
-||H x||.  Writing H = QR with Q having orthonormal columns gives
-||H X|| = ||Q R X|| = ||R X|| for every X, so both constants are computed
-from the N x N triangular factor R alone:
+strictly above the cutoff, counted by GramSystem.kept_rank as in the
+solver.  A quadrature factor H of the continuous Gram (H* H = Gram) turns
+the L2 norm of the expansion with coefficients x into ||H x||.  Writing
+H = QR with Q having orthonormal columns gives ||H X|| = ||Q R X|| =
+||R X|| for every X, so both constants are computed from the N x N
+triangular factor R alone:
 
     kappa  = || R V_r Sigma_r^-1 ||_2
     lambda = (1 / eps) || R V_d ||_2
 
-with V_r the kept and V_d the discarded right singular vectors.  R is
-computed once per frame by build_gram_factor and also feeds A'_{M,N}.
+with V_r the kept and V_d the discarded right singular vectors.
+
+Every constant is a function of one (system, factor) pair: the sampled
+system from build_system and the Gram factor of its frame from
+build_gram_factor, computed once per frame.  The richness constant
+A'_{M,N} = sigma_min(G R^-1)^2 (sampling.richness_estimate) is read off
+the same pair, and it bounds both constants by 1/sqrt(A'_{M,N}).
+diagnose returns one report per cutoff for such a pair and computes A'
+once; constants_sweep is one diagnose call per (gamma, N) cell.
 
 kappa divides by the kept singular values, and the SVD returns the small
 ones with an absolute error of about u ||G|| (u the unit roundoff), a
@@ -36,27 +44,22 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .frames import FrameSpec
 from .gram import GramFactor, GramSystem, build_gram_factor, build_system
-from .sampling import SamplingScheme, SchemeFamily, SchemeKind, _richness_from_matrices
+from .sampling import SamplingScheme, SchemeFamily, SchemeKind, richness_estimate
 
 __all__ = [
     "DiagnosticsReport",
-    "SweepRow",
     "compute_kappa",
     "compute_lambda",
     "diagnose",
     "stable_sampling_rate",
     "constants_sweep",
 ]
-
-
-def _kept_count(singular_values: np.ndarray, epsilon: float) -> int:
-    return int(np.count_nonzero(singular_values > epsilon))
 
 
 def compute_kappa(system: GramSystem, factor: GramFactor, epsilon: float) -> float:
@@ -70,7 +73,7 @@ def compute_kappa(system: GramSystem, factor: GramFactor, epsilon: float) -> flo
         raise ValueError("epsilon must be > 0")
     if factor.N != system.N:
         raise ValueError("factor and system disagree on the frame size")
-    r = _kept_count(system.singular_values, epsilon)
+    r = system.kept_rank(epsilon)
     if r == 0:
         return 0.0
     Vt = system.Vt[:r]
@@ -85,7 +88,7 @@ def compute_lambda(system: GramSystem, factor: GramFactor, epsilon: float) -> fl
         raise ValueError("epsilon must be > 0")
     if factor.N != system.N:
         raise ValueError("factor and system disagree on the frame size")
-    r = _kept_count(system.singular_values, epsilon)
+    r = system.kept_rank(epsilon)
     if r == system.N:
         return 0.0
     X = factor.R @ system.Vt[r:].T
@@ -94,15 +97,17 @@ def compute_lambda(system: GramSystem, factor: GramFactor, epsilon: float) -> fl
 
 @dataclass
 class DiagnosticsReport:
-    """Stability constants of one (frame, scheme, epsilon) configuration."""
+    """Stability constants of one M x N sampled system at one cutoff epsilon."""
 
+    M: int
+    N: int
+    epsilon: float
     kappa: float
     lam: float
     kept_rank: int
     sigma_max: float
     sigma_min: float
     A_prime_MN: float
-    epsilon: float
 
     def bound_violations(
         self, frame: FrameSpec, scheme: SamplingScheme, rel_slack: float = 1e-9
@@ -128,40 +133,46 @@ class DiagnosticsReport:
         return out
 
 
-def diagnose(system: GramSystem, factor: GramFactor, epsilon: float) -> DiagnosticsReport:
-    """Assemble the full stability report for one sampled system."""
-    kappa = compute_kappa(system, factor, epsilon)
-    lam = compute_lambda(system, factor, epsilon)
+def diagnose(
+    system: GramSystem, factor: GramFactor, epsilons: Sequence[float]
+) -> List[DiagnosticsReport]:
+    """Stability reports of one sampled system, one per cutoff in epsilons.
+
+    A'_{M,N} does not depend on the cutoff and is computed once.
+    """
+    a_prime = richness_estimate(system, factor)
     s = system.singular_values
-    a_prime = _richness_from_matrices(system.matrix, factor.R)
-    return DiagnosticsReport(
-        kappa=kappa,
-        lam=lam,
-        kept_rank=_kept_count(s, epsilon),
-        sigma_max=float(s[0]),
-        sigma_min=float(s[-1]),
-        A_prime_MN=a_prime,
-        epsilon=epsilon,
-    )
+    return [
+        DiagnosticsReport(
+            M=system.M,
+            N=system.N,
+            epsilon=eps,
+            kappa=compute_kappa(system, factor, eps),
+            lam=compute_lambda(system, factor, eps),
+            kept_rank=system.kept_rank(eps),
+            sigma_max=float(s[0]),
+            sigma_min=float(s[-1]),
+            A_prime_MN=a_prime,
+        )
+        for eps in epsilons
+    ]
 
 
 def stable_sampling_rate(
     frame: FrameSpec,
     scheme_family: SchemeFamily,
-    N: int,
     theta: float,
     epsilon: float,
     M_max: Optional[int] = None,
     stride: Optional[int] = None,
 ) -> Optional[int]:
-    """Smallest M >= N on the search grid with max(kappa, lambda) <= theta.
+    """Smallest M >= frame.N on the search grid with max(kappa, lambda) <= theta.
 
     Returns None when the grid is exhausted without a hit.
     """
-    if frame.N != N:
-        raise ValueError("frame must have exactly N elements")
     if theta <= 1.0:
         raise ValueError("theta must be > 1")
+    N = frame.N
     if M_max is None:
         M_max = 64 * N
     if stride is None:
@@ -178,20 +189,6 @@ def stable_sampling_rate(
     return None
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """One cell of a constants sweep."""
-
-    gamma: float
-    N: int
-    epsilon: float
-    M: int
-    kappa: float
-    lam: float
-    kept_rank: int
-    A_prime_MN: float
-
-
 def constants_sweep(
     frame_family: Callable[[int], FrameSpec],
     scheme_family: SchemeFamily,
@@ -199,36 +196,20 @@ def constants_sweep(
     Ns: Sequence[int],
     epsilons: Sequence[float],
     workers: int = 1,
-) -> List[SweepRow]:
-    """kappa/lambda over the grid M = ceil(gamma N), canonically ordered.
+) -> List[Tuple[float, DiagnosticsReport]]:
+    """(gamma, report) over the grid M = ceil(gamma N), ordered by (gamma, N, epsilon).
 
-    The factor and the sampled system of a cell are shared across the
-    epsilon values; cells may be evaluated by a small worker pool.
+    Each cell is one diagnose call on one sampled system, with the frame's
+    Gram factor shared across its cells; cells may be evaluated by a small
+    worker pool.
     """
     factors = {N: build_gram_factor(frame_family(N)) for N in sorted(set(Ns))}
 
-    def cell(args) -> List[SweepRow]:
+    def cell(args) -> List[Tuple[float, DiagnosticsReport]]:
         gamma, N = args
         M = max(N, math.ceil(gamma * N))
-        frame = frame_family(N)
-        system = build_system(frame, scheme_family.realize(M))
-        factor = factors[N]
-        a_prime = _richness_from_matrices(system.matrix, factor.R)
-        rows = []
-        for eps in epsilons:
-            rows.append(
-                SweepRow(
-                    gamma=float(gamma),
-                    N=int(N),
-                    epsilon=float(eps),
-                    M=M,
-                    kappa=compute_kappa(system, factor, eps),
-                    lam=compute_lambda(system, factor, eps),
-                    kept_rank=_kept_count(system.singular_values, eps),
-                    A_prime_MN=a_prime,
-                )
-            )
-        return rows
+        system = build_system(frame_family(N), scheme_family.realize(M))
+        return [(float(gamma), report) for report in diagnose(system, factors[N], epsilons)]
 
     cells = [(gamma, N) for gamma in gammas for N in Ns]
     if workers > 1:
@@ -237,5 +218,5 @@ def constants_sweep(
     else:
         chunks = [cell(c) for c in cells]
     rows = [row for chunk in chunks for row in chunk]
-    rows.sort(key=lambda r: (r.gamma, r.N, r.epsilon))
+    rows.sort(key=lambda row: (row[0], row[1].N, row[1].epsilon))
     return rows

@@ -53,6 +53,10 @@ class GramSystem:
             raise np.linalg.LinAlgError("SVD reconstruction outside tolerance")
         return cls(matrix=matrix, U=U, singular_values=s, Vt=Vt, frame=frame, scheme=scheme)
 
+    def kept_rank(self, epsilon: float) -> int:
+        """Number of singular values strictly above the cutoff epsilon."""
+        return int(np.count_nonzero(self.singular_values > epsilon))
+
 
 @dataclass
 class GramFactor:
@@ -99,16 +103,15 @@ def build_system(frame: FrameSpec, scheme: SamplingScheme) -> GramSystem:
     return GramSystem.from_matrix(matrix, frame=frame, scheme=scheme)
 
 
-def build_gram_factor(frame: FrameSpec, rule: Optional[QuadratureRule] = None) -> GramFactor:
+def build_gram_factor(frame: FrameSpec) -> GramFactor:
     """Quadrature factor H of the continuous Gram of the frame.
 
     Also holds the triangular factor R of H, computed here once per frame.
 
-    The default rule subdivides geometrically toward the singular endpoint
-    with per-cell order scaled to N, which keeps every Gram entry accurate
-    to about 1e-10 or better through N = 60.
+    The rule subdivides geometrically toward the singular endpoint with
+    per-cell order scaled to N, which keeps every Gram entry accurate to
+    about 1e-10 or better through N = 60.
     """
-    if rule is None:
-        rule = hp_log_quadrature(levels=40, order=max(12, frame.N + 12))
+    rule = hp_log_quadrature(levels=40, order=max(12, frame.N + 12))
     H = np.sqrt(rule.weights)[:, None] * element_matrix(frame, rule.nodes).T
     return GramFactor(matrix=H, R=np.linalg.qr(H, mode="r"), rule=rule, frame=frame)

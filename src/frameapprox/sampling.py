@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
@@ -23,7 +23,9 @@ from .orthopoly import (
     hp_log_quadrature,
     legendre_table,
 )
-from .frames import FrameSpec
+
+if TYPE_CHECKING:  # gram imports this module
+    from .gram import GramFactor, GramSystem
 
 __all__ = [
     "SchemeKind",
@@ -92,24 +94,18 @@ class DataVector:
         return float(np.linalg.norm(self.values))
 
 
-def _default_inner_rule(M: int) -> QuadratureRule:
-    # per-cell order grows with M so products of degree-(M-1) coefficients
-    # against degree <= M polynomials stay at per-cell exactness
-    return hp_log_quadrature(levels=40, order=max(12, M + 12))
-
-
-def inner_product_scheme(M: int, rule: Optional[QuadratureRule] = None) -> SamplingScheme:
+def inner_product_scheme(M: int) -> SamplingScheme:
     """Coefficients against the first M orthonormal Legendre polynomials.
 
-    The default quadrature resolves both smooth integrands and integrands
-    with a log singularity at 0.
+    The quadrature resolves both smooth integrands and integrands with a
+    log singularity at 0; its per-cell order grows with M so products of
+    degree-(M-1) coefficients against degree <= M polynomials stay at
+    per-cell exactness.
     """
-    if rule is None:
-        rule = _default_inner_rule(M)
     return SamplingScheme(
         kind=SchemeKind.BASIS_INNER_PRODUCTS,
         M=M,
-        rule=rule,
+        rule=hp_log_quadrature(levels=40, order=max(12, M + 12)),
     )
 
 
@@ -204,22 +200,18 @@ def sample(scheme: SamplingScheme, f) -> DataVector:
     return DataVector(values=values, scheme=scheme)
 
 
-def richness_estimate(scheme: SamplingScheme, frame: FrameSpec, N: int) -> float:
-    """Lower discrete-norm constant of the scheme over the span of the frame.
+def richness_estimate(system: GramSystem, factor: GramFactor) -> float:
+    """Lower discrete-norm constant A'_{M,N} of a sampled system over its frame.
 
     Returns the smallest value of ||g||_M^2 over functions g in the span
-    of the first N frame elements with unit L2 norm: the smallest
-    generalized eigenvalue of the pair (G* G, Gram).  Requires M >= N.
+    of the frame's N elements with unit L2 norm: the smallest generalized
+    eigenvalue of the pair (G* G, Gram), with G the system matrix and
+    Gram = R* R from the frame's Gram factor.  Requires M >= N.
     """
-    from . import gram  # local import to avoid a module cycle
-
-    if N < 1 or N > frame.N:
-        raise ValueError("N must satisfy 1 <= N <= frame.N")
-    if scheme.M < N:
-        raise ValueError("richness estimate requires scheme.M >= N")
-    sub = _subframe(frame, N)
-    system = gram.build_system(sub, scheme)
-    factor = gram.build_gram_factor(sub)
+    if factor.frame != system.frame:
+        raise ValueError("factor is not the Gram factor of the system's frame")
+    if system.M < system.N:
+        raise ValueError("richness estimate requires M >= N")
     return _richness_from_matrices(system.matrix, factor.R)
 
 
@@ -233,11 +225,3 @@ def _richness_from_matrices(G: np.ndarray, R: np.ndarray) -> float:
     X = scipy.linalg.solve_triangular(R, G.T, trans="T", lower=False).T
     smallest = np.linalg.svd(X, compute_uv=False)[-1]
     return float(smallest**2)
-
-
-def _subframe(frame: FrameSpec, N: int) -> FrameSpec:
-    if N == frame.N:
-        return frame
-    from dataclasses import replace
-
-    return replace(frame, N=N, K=min(frame.K, N))

@@ -86,7 +86,7 @@ def truncated_svd_solve(
     if values.shape != (system.M,):
         raise ValueError("data length must equal system row count")
     s = system.singular_values
-    kept_rank = int(np.count_nonzero(s > epsilon))
+    kept_rank = system.kept_rank(epsilon)
     coeffs = np.zeros(system.N)
     if kept_rank > 0:
         projected = system.U[:, :kept_rank].T @ values

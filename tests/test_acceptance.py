@@ -57,7 +57,7 @@ def test_criterion_02_stability_constant_bounds():
             for gamma in (1, 2, 4):
                 scheme = builder(gamma * N)
                 system = gram.build_system(frame, scheme)
-                a_prime = sampling.richness_estimate(scheme, frame, N)
+                a_prime = sampling.richness_estimate(system, factor)
                 cap_a = 1.0 / np.sqrt(a_prime)
                 for eps in eps_grid:
                     for value in (diagnostics.compute_kappa(system, factor, eps),
@@ -129,7 +129,7 @@ def test_criterion_05_sampling_rate_bound():
     for N in (5, 10, 20, 40):
         frame = frames.onb_plus_k(N, 1)
         results[N] = diagnostics.stable_sampling_rate(
-            frame, sampling.inner_products(), N, 2.0, 1e-5)
+            frame, sampling.inner_products(), 2.0, 1e-5)
     ok = all(theta is not None and theta <= np.sqrt(2.0) * N + 1
              for N, theta in results.items())
     _report(5, f"enriched-basis sampling rate {results} within sqrt(2) N + 1", ok)

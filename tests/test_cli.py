@@ -114,6 +114,8 @@ def test_single_approx_summary(tmp_path, capsys):
     ["pointwise_error", "--N", "5", "--nodes", "hermite"],
     ["pointwise_error", "--N", "5:5:10", "--K", "10"],  # K exceeds an N
     ["pointwise_error", "--N", "10", "--K", "3", "--normalize-psi", "on"],
+    ["pointwise_error", "--frame", "onb", "--N", "10", "--K", "3"],
+    ["pointwise_error", "--frame", "onb", "--N", "10", "--normalize-psi", "on"],
 ])
 def test_invalid_configurations_exit_one(argv, tmp_path, capsys):
     code = cli.main(argv + ["--out", str(tmp_path / "x.csv")])
@@ -190,6 +192,24 @@ def test_config_file_errors(tmp_path):
     bad_workers.write_text("workers = two\n")
     assert cli.main(["pointwise_error", "--config", str(bad_workers), "--N", "5"]) == 1
 
+    enriched = tmp_path / "enriched.cfg"
+    enriched.write_text("K = 3\n")
+    assert cli.main(["pointwise_error", "--config", str(enriched), "--frame", "onb",
+                     "--N", "5"]) == 1
+
+
+def test_plain_frame_accepts_zero_enrichment(tmp_path):
+    out = tmp_path / "p.csv"
+    assert cli.main(["pointwise_error", "--frame", "onb", "--K", "0", "--N", "5",
+                     "--out", str(out)]) == 0
+    assert cli.main(["pointwise_error", "--frame", "onb", "--N", "5", "--out", str(out)]) == 0
+
+
+def test_unwritable_output_exits_one(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.csv"
+    assert cli.main(["pointwise_error", "--N", "5", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: cannot write")
+
 
 def test_output_files_are_deterministic(tmp_path):
     args = ["pointwise_error", "--K", "1", "--N", "5:5:10", "--eps", "1e-12"]
@@ -236,6 +256,14 @@ def test_selftest_reports_are_byte_identical():
     ]
     assert runs[0].returncode == 0
     assert runs[0].stdout == runs[1].stdout
+
+
+def test_import_loads_no_scipy():
+    # scipy is imported on the first A' only, which keeps start-up short
+    code = ("import sys, frameapprox, frameapprox.cli; "
+            "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_console_script_installed():

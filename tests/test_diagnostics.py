@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import oracles
 from frameapprox import diagnostics, frames, gram, sampling
@@ -50,7 +51,7 @@ def test_kappa_matches_extended_precision_oracle():
     eps = 1e-8
     assert diagnostics.compute_kappa(system, factor, eps) == pytest.approx(
         1.0 / np.sqrt(3.1070470398e-7), rel=1e-9)
-    report = diagnostics.diagnose(system, factor, eps)
+    [report] = diagnostics.diagnose(system, factor, [eps])
     assert report.bound_violations(frame, system.scheme) == []
 
 
@@ -86,7 +87,7 @@ def test_constants_respect_all_upper_bounds():
             kappa = diagnostics.compute_kappa(system, factor, eps)
             lam = diagnostics.compute_lambda(system, factor, eps)
             assert max(kappa, lam) <= np.sqrt(frame.B_upper) / eps
-            a_prime = sampling.richness_estimate(system.scheme, frame, N)
+            a_prime = sampling.richness_estimate(system, factor)
             cap = 1.0 / np.sqrt(a_prime)
             assert max(kappa, lam) <= cap * (1 + 1e-9)
 
@@ -112,19 +113,19 @@ def test_inner_product_constants_stay_below_eps_envelope():
 def test_diagnose_report_consistency():
     frame, factor, system = _cell(12, 2, sampling.legendre_point_scheme(24))
     eps = 1e-6
-    report = diagnostics.diagnose(system, factor, eps)
+    [report] = diagnostics.diagnose(system, factor, [eps])
     assert report.kappa == pytest.approx(diagnostics.compute_kappa(system, factor, eps))
     assert report.lam == pytest.approx(diagnostics.compute_lambda(system, factor, eps))
     assert report.kept_rank == int(np.sum(system.singular_values > eps))
     assert report.sigma_max == system.singular_values[0]
-    assert report.A_prime_MN == pytest.approx(
-        sampling.richness_estimate(system.scheme, frame, frame.N))
+    assert (report.M, report.N) == (24, 12)
+    assert report.A_prime_MN == pytest.approx(sampling.richness_estimate(system, factor))
     assert report.bound_violations(frame, system.scheme) == []
 
 
 def test_bound_violations_flag_breaches():
     frame, factor, system = _cell(8, 1, sampling.legendre_point_scheme(16))
-    clean = diagnostics.diagnose(system, factor, 1e-5)
+    [clean] = diagnostics.diagnose(system, factor, [1e-5])
     import dataclasses
     broken = dataclasses.replace(clean, kappa=1e20)
     assert broken.bound_violations(frame, system.scheme)
@@ -136,28 +137,34 @@ def test_sweep_grid_and_ordering():
         sampling.legendre_points(),
         gammas=(2.0, 1.0), Ns=(10, 5), epsilons=(1e-5, 1e-8))
     assert len(rows) == 8
-    keys = [(r.gamma, r.N, r.epsilon) for r in rows]
+    keys = [(gamma, r.N, r.epsilon) for gamma, r in rows]
     assert keys == sorted(keys)
-    for row in rows:
-        assert row.M == max(row.N, int(np.ceil(row.gamma * row.N)))
-        assert row.kappa > 0 and row.A_prime_MN > 0
+    for gamma, r in rows:
+        assert r.M == max(r.N, int(np.ceil(gamma * r.N)))
+        assert r.kappa > 0 and r.A_prime_MN > 0
 
 
 def test_sweep_factors_each_frame_once(monkeypatch):
-    qr_calls = []
-    real_qr = np.linalg.qr
+    # one QR of H per frame, and one triangular solve for A' per (gamma, N) cell
+    calls = {"qr": 0, "solve_triangular": 0}
 
-    def counting_qr(*args, **kwargs):
-        qr_calls.append(np.shape(args[0]))
-        return real_qr(*args, **kwargs)
+    def counting(module, name):
+        real = getattr(module, name)
 
-    monkeypatch.setattr(np.linalg, "qr", counting_qr)
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(np.linalg, "qr")
+    counting(scipy.linalg, "solve_triangular")
     rows = diagnostics.constants_sweep(
         lambda n: frames.onb_plus_k(n, 2),
         sampling.legendre_points(),
-        gammas=(1.0, 1.5, 2.0, 3.0), Ns=(5, 10), epsilons=(1e-5,))
-    assert len(rows) == 8
-    assert len(qr_calls) == 2
+        gammas=(1.0, 1.5, 2.0, 3.0), Ns=(5, 10), epsilons=(1e-5, 1e-8))
+    assert len(rows) == 16
+    assert calls == {"qr": 2, "solve_triangular": 8}
 
 
 def test_sweep_parallel_matches_serial():
@@ -172,28 +179,28 @@ def test_ssr_pure_basis_needs_no_oversampling():
     for N in (5, 10):
         frame = frames.legendre_onb(N)
         assert diagnostics.stable_sampling_rate(
-            frame, sampling.inner_products(), N, 2.0, 1e-5) == N
+            frame, sampling.inner_products(), 2.0, 1e-5) == N
 
 
 def test_ssr_enriched_basis_inner_products_regression():
     # one extra sample absorbs the enrichment element at small N
     frame = frames.onb_plus_k(10, 1)
     assert diagnostics.stable_sampling_rate(
-        frame, sampling.inner_products(), 10, 2.0, 1e-5) == 11
+        frame, sampling.inner_products(), 2.0, 1e-5) == 11
 
 
 def test_ssr_gauss_points_regression():
     frame = frames.onb_plus_k(20, 5)
     assert diagnostics.stable_sampling_rate(
-        frame, sampling.legendre_points(), 20, 2.0, 1e-5) == 64
+        frame, sampling.legendre_points(), 2.0, 1e-5) == 64
     assert diagnostics.stable_sampling_rate(
-        frame, sampling.legendre_points(), 20, 2.0, 1e-8) == 96
+        frame, sampling.legendre_points(), 2.0, 1e-8) == 96
 
 
 def test_ssr_reports_unreachable_grid_with_sentinel():
     frame = frames.onb_plus_k(15, 5)
     result = diagnostics.stable_sampling_rate(
-        frame, sampling.equispaced_points(), 15, 2.0, 1e-5, M_max=30)
+        frame, sampling.equispaced_points(), 2.0, 1e-5, M_max=30)
     assert result is None
 
 
@@ -202,7 +209,7 @@ def test_ssr_equispaced_oversampling_grows_superlinearly():
     for N in (5, 10):
         frame = frames.onb_plus_k(N, min(5, N - 1) if N > 5 else 1)
         thetas[N] = diagnostics.stable_sampling_rate(
-            frame, sampling.equispaced_points(), N, 2.0, 1e-5)
+            frame, sampling.equispaced_points(), 2.0, 1e-5)
     assert thetas[5] is not None and thetas[10] is not None
     assert thetas[10] / 10 > thetas[5] / 5
 
@@ -210,7 +217,7 @@ def test_ssr_equispaced_oversampling_grows_superlinearly():
 def test_ssr_respects_stride_grid():
     frame = frames.onb_plus_k(20, 5)
     found = diagnostics.stable_sampling_rate(
-        frame, sampling.legendre_points(), 20, 2.0, 1e-5, stride=7)
+        frame, sampling.legendre_points(), 2.0, 1e-5, stride=7)
     assert found is not None
     assert (found - 20) % 7 == 0
 
@@ -218,4 +225,4 @@ def test_ssr_respects_stride_grid():
 def test_ssr_rejects_theta_at_or_below_one():
     frame = frames.legendre_onb(5)
     with pytest.raises(ValueError):
-        diagnostics.stable_sampling_rate(frame, sampling.inner_products(), 5, 1.0, 1e-5)
+        diagnostics.stable_sampling_rate(frame, sampling.inner_products(), 1.0, 1e-5)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frameapprox import frames, orthopoly, sampling
+from frameapprox import frames, gram, orthopoly, sampling
 
 
 def test_point_scheme_scales():
@@ -100,16 +100,21 @@ def test_scheme_sizes(M):
         assert np.all((scheme.nodes > 0) & (scheme.nodes <= 1))
 
 
+def _richness(frame, scheme):
+    system = gram.build_system(frame, scheme)
+    return sampling.richness_estimate(system, gram.build_gram_factor(frame))
+
+
 def test_richness_pure_basis_inner_products_is_one():
     frame = frames.legendre_onb(8)
-    value = sampling.richness_estimate(sampling.inner_product_scheme(8), frame, 8)
+    value = _richness(frame, sampling.inner_product_scheme(8))
     assert abs(value - 1.0) < 1e-10
 
 
 def test_richness_regression_enriched_gauss_points():
     # slow approach to 1 from below is intrinsic to the log enrichment
     frame = frames.onb_plus_k(20, 5)
-    value = sampling.richness_estimate(sampling.legendre_point_scheme(40), frame, 20)
+    value = _richness(frame, sampling.legendre_point_scheme(40))
     # 50-digit mpmath: elements and both Grams on the same hp and Gauss-Legendre rules
     assert value == pytest.approx(2.3898798895513e-4, rel=1e-6)
 
@@ -117,7 +122,7 @@ def test_richness_regression_enriched_gauss_points():
 def test_richness_increases_with_oversampling():
     frame = frames.onb_plus_k(10, 5)
     values = [
-        sampling.richness_estimate(sampling.legendre_point_scheme(mult * 10), frame, 10)
+        _richness(frame, sampling.legendre_point_scheme(mult * 10))
         for mult in (2, 4, 8, 16, 32)
     ]
     assert all(b > a for a, b in zip(values, values[1:]))
@@ -126,13 +131,15 @@ def test_richness_increases_with_oversampling():
 
 def test_richness_equispaced_points_nearly_degenerate():
     frame = frames.onb_plus_k(20, 5)
-    value = sampling.richness_estimate(sampling.equispaced_point_scheme(40), frame, 20)
+    value = _richness(frame, sampling.equispaced_point_scheme(40))
     assert 0 < value < 1e-10
 
 
 def test_richness_argument_validation():
     frame = frames.onb_plus_k(10, 2)
     with pytest.raises(ValueError):
-        sampling.richness_estimate(sampling.legendre_point_scheme(20), frame, 11)
+        _richness(frame, sampling.legendre_point_scheme(5))
+    system = gram.build_system(frame, sampling.legendre_point_scheme(20))
+    other = gram.build_gram_factor(frames.onb_plus_k(10, 3))
     with pytest.raises(ValueError):
-        sampling.richness_estimate(sampling.legendre_point_scheme(5), frame, 10)
+        sampling.richness_estimate(system, other)
