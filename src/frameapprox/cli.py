@@ -9,6 +9,8 @@ Exit codes: 0 success, 1 invalid configuration, 2 numerical failure.
 """
 
 import argparse
+import contextlib
+import ctypes
 import math
 import os
 import sys
@@ -258,6 +260,15 @@ def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> N
         raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
 
 
+def _check_writable(path: Path) -> None:
+    # checked before the sweep, so a bad --out costs no computation
+    directory = path.parent
+    if not directory.is_dir():
+        raise ConfigError(f"cannot write {path}: no directory {directory}")
+    if not os.access(directory, os.W_OK):
+        raise ConfigError(f"cannot write {path}: directory {directory} is not writable")
+
+
 def _require_sweep(values: List[int], name: str) -> List[int]:
     if not values:
         raise ConfigError(f"experiment requires a {name} sweep (use --{name})")
@@ -267,11 +278,18 @@ def _require_sweep(values: List[int], name: str) -> List[int]:
     return values
 
 
+def _single_epsilon(cfg: ExperimentConfig) -> float:
+    # these schemas have no eps column, so a second cutoff has nowhere to go
+    if len(cfg.epsilons) != 1:
+        raise ConfigError(f"{cfg.experiment} takes a single eps")
+    return cfg.epsilons[0]
+
+
 def run_pointwise_error(cfg: ExperimentConfig) -> Path:
     """Pointwise error at probe points along an N sweep with M tied to N."""
     Ns = _require_sweep(cfg.N_values, "N")
     rule = _parse_m_rule(cfg.M_rule)
-    eps = cfg.epsilons[0]
+    eps = _single_epsilon(cfg)
     family = cfg.scheme_family()
     rows = []
     for N in Ns:
@@ -293,7 +311,7 @@ def run_oversampling(cfg: ExperimentConfig) -> Path:
         raise ConfigError("oversampling takes a single N")
     Ms = _require_sweep(cfg.M_values, "M")
     N = Ns[0]
-    eps = cfg.epsilons[0]
+    eps = _single_epsilon(cfg)
     frame = cfg.frame_for(N)
     family = cfg.scheme_family()
     rows = []
@@ -347,7 +365,7 @@ def run_single_approx(cfg: ExperimentConfig) -> Path:
     if len(Ns) != 1 or len(Ms) != 1:
         raise ConfigError("single_approx takes a single N and a single M")
     N, M = Ns[0], Ms[0]
-    eps = cfg.epsilons[0]
+    eps = _single_epsilon(cfg)
     approx = solver.approximate(
         frames.target_function, cfg.frame_for(N), cfg.scheme_family(), M=M, epsilon=eps
     )
@@ -538,13 +556,69 @@ _RUNNERS = {
 }
 
 
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _openblas_thread_calls():
+    """(get, set) thread-count functions of numpy's OpenBLAS, or None.
+
+    None for any other BLAS or when the symbols are missing.  The symbols
+    are looked up through numpy's own linalg extension, which is loaded
+    and links the BLAS, so this loads no library.
+    """
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:  # numpy before 1.25 can only print its configuration
+        return None
+    blas = config.get("Build Dependencies", {}).get("blas", {})
+    prefix = {"scipy-openblas": "scipy_openblas", "openblas": "openblas"}.get(blas.get("name"))
+    if prefix is None:
+        return None
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    for suffix in ("64_", ""):
+        try:
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}")
+            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}")
+        except AttributeError:
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body with numpy's OpenBLAS on one thread; restore the count after.
+
+    The matrices here are at most a few thousand by a few hundred, where
+    BLAS threads cost more than they save.  A thread count the user
+    exported in OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is left alone.
+    """
+    exported = any(os.environ.get(name) for name in _BLAS_THREAD_VARS)
+    calls = None if exported else _openblas_thread_calls()
+    if calls is None:
+        yield
+        return
+    get, set_ = calls
+    previous = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(previous)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         cfg = _build_config(args)
-        if cfg.experiment == "selftest":
-            return run_selftest(cfg)
-        path = _RUNNERS[cfg.experiment](cfg)
+        if cfg.experiment != "selftest":
+            _check_writable(cfg.out_path())
+        with _one_blas_thread():
+            if cfg.experiment == "selftest":
+                return run_selftest(cfg)
+            path = _RUNNERS[cfg.experiment](cfg)
         print(f"wrote {path}")
         return 0
     except ConfigError as exc:

@@ -30,7 +30,9 @@ ones with an absolute error of about u ||G|| (u the unit roundoff), a
 relative error of up to u cond(G).  So Sigma_r is replaced by the
 Rayleigh quotients d_j = u_j* G v_j, the diagonal of (U_r* G) V_r, whose
 error is second order in that of the singular vectors; in exact
-arithmetic d_j = sigma_j.  With D = diag(d_j),
+arithmetic d_j = sigma_j.  They do not depend on the cutoff, so
+GramSystem.rayleigh_quotients forms them once per system and each
+cutoff's kappa reads the first r.  With D = diag(d_j),
 
     kappa  = || R V_r D^-1 ||_2
 
@@ -50,7 +52,9 @@ import numpy as np
 
 from .frames import FrameSpec
 from .gram import GramFactor, GramSystem, build_gram_factor, build_system
-from .sampling import SamplingScheme, SchemeFamily, SchemeKind, richness_estimate
+from .sampling import (
+    SamplingScheme, SchemeFamily, SchemeKind, _check_factor, richness_estimate,
+)
 
 __all__ = [
     "DiagnosticsReport",
@@ -71,14 +75,11 @@ def compute_kappa(system: GramSystem, factor: GramFactor, epsilon: float) -> flo
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be > 0")
-    if factor.N != system.N:
-        raise ValueError("factor and system disagree on the frame size")
+    _check_factor(system, factor)
     r = system.kept_rank(epsilon)
     if r == 0:
         return 0.0
-    Vt = system.Vt[:r]
-    d = np.einsum("jk,jk->j", system.U[:, :r].T @ system.matrix, Vt)
-    X = factor.R @ (Vt.T / d)
+    X = factor.R @ (system.Vt[:r].T / system.rayleigh_quotients[:r])
     return float(np.linalg.norm(X, 2))
 
 
@@ -86,8 +87,7 @@ def compute_lambda(system: GramSystem, factor: GramFactor, epsilon: float) -> fl
     """Scaled continuous norm of the discarded singular directions."""
     if epsilon <= 0:
         raise ValueError("epsilon must be > 0")
-    if factor.N != system.N:
-        raise ValueError("factor and system disagree on the frame size")
+    _check_factor(system, factor)
     r = system.kept_rank(epsilon)
     if r == system.N:
         return 0.0

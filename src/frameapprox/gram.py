@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -56,6 +57,15 @@ class GramSystem:
     def kept_rank(self, epsilon: float) -> int:
         """Number of singular values strictly above the cutoff epsilon."""
         return int(np.count_nonzero(self.singular_values > epsilon))
+
+    @cached_property
+    def rayleigh_quotients(self) -> np.ndarray:
+        """d_j = u_j* G v_j for every singular triple, computed once per system.
+
+        d_j does not depend on the cutoff, so every kappa of one system
+        reads the first kept_rank entries of the same product.
+        """
+        return np.einsum("jk,jk->j", self.U.T @ self.matrix, self.Vt)
 
 
 @dataclass

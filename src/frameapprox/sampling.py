@@ -208,11 +208,16 @@ def richness_estimate(system: GramSystem, factor: GramFactor) -> float:
     eigenvalue of the pair (G* G, Gram), with G the system matrix and
     Gram = R* R from the frame's Gram factor.  Requires M >= N.
     """
-    if factor.frame != system.frame:
-        raise ValueError("factor is not the Gram factor of the system's frame")
+    _check_factor(system, factor)
     if system.M < system.N:
         raise ValueError("richness estimate requires M >= N")
     return _richness_from_matrices(system.matrix, factor.R)
+
+
+def _check_factor(system: GramSystem, factor: GramFactor) -> None:
+    # a factor of another frame with the same N gives wrong constants silently
+    if factor.frame != system.frame:
+        raise ValueError("factor is not the Gram factor of the system's frame")
 
 
 def _richness_from_matrices(G: np.ndarray, R: np.ndarray) -> float:

@@ -116,6 +116,10 @@ def test_single_approx_summary(tmp_path, capsys):
     ["pointwise_error", "--N", "10", "--K", "3", "--normalize-psi", "on"],
     ["pointwise_error", "--frame", "onb", "--N", "10", "--K", "3"],
     ["pointwise_error", "--frame", "onb", "--N", "10", "--normalize-psi", "on"],
+    # schemas without an eps column take one cutoff
+    ["pointwise_error", "--N", "5", "--eps", "1e-5,1e-8"],
+    ["oversampling", "--N", "10", "--M", "10:10:20", "--eps", "1e-5,1e-8"],
+    ["single_approx", "--N", "10", "--M", "20", "--eps", "1e-5,1e-8"],
 ])
 def test_invalid_configurations_exit_one(argv, tmp_path, capsys):
     code = cli.main(argv + ["--out", str(tmp_path / "x.csv")])
@@ -211,6 +215,14 @@ def test_unwritable_output_exits_one(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: cannot write")
 
 
+def test_unwritable_output_checked_before_computing(tmp_path, monkeypatch):
+    def sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran before --out was checked")
+    monkeypatch.setattr(cli.diagnostics, "constants_sweep", sweep)
+    out = tmp_path / "missing" / "x.csv"
+    assert cli.main(["constants", "--N", "5", "--out", str(out)]) == 1
+
+
 def test_output_files_are_deterministic(tmp_path):
     args = ["pointwise_error", "--K", "1", "--N", "5:5:10", "--eps", "1e-12"]
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -226,6 +238,85 @@ def test_threads_env_cap(tmp_path, monkeypatch):
                      "--out", str(out)]) == 0
     monkeypatch.setenv("FRAMEAPPROX_THREADS", "abc")
     assert cli.main(["constants", "--N", "5", "--out", str(out)]) == 1
+
+
+@pytest.fixture
+def blas_threads(monkeypatch):
+    """get() of numpy's OpenBLAS thread count, or None for another BLAS."""
+    for name in cli._BLAS_THREAD_VARS:
+        monkeypatch.delenv(name, raising=False)
+    calls = cli._openblas_thread_calls()
+    return calls[0] if calls else None
+
+
+def _count_reader(monkeypatch, get, seen):
+    """Replace the ssr runner by one that records the BLAS thread count."""
+    def runner(cfg):
+        seen.append(get() if get else None)
+        return cfg.out_path()
+    monkeypatch.setitem(cli._RUNNERS, "ssr", runner)
+
+
+def test_blas_pinned_to_one_thread_during_a_run(tmp_path, monkeypatch, blas_threads):
+    seen = []
+    _count_reader(monkeypatch, blas_threads, seen)
+    assert cli.main(["ssr", "--N", "5", "--out", str(tmp_path / "s.csv")]) == 0
+    assert len(seen) == 1
+    if blas_threads is None:
+        pytest.skip("numpy's BLAS is not OpenBLAS")
+    assert seen == [1]
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["constants", "--N", "5"], 0),
+    (["constants", "--N", "5", "--gammas", "0.5"], 1),  # found inside the run
+    (["pointwise_error", "--N", "5"], 2),
+])
+def test_blas_thread_count_restored_on_every_exit(argv, code, tmp_path, monkeypatch,
+                                                  blas_threads):
+    def boom(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+    monkeypatch.setattr(cli.solver, "approximate", boom)
+    before = blas_threads() if blas_threads else None
+    assert cli.main(argv + ["--out", str(tmp_path / "x.csv")]) == code
+    if blas_threads is None:
+        pytest.skip("numpy's BLAS is not OpenBLAS")
+    assert blas_threads() == before
+
+
+@pytest.mark.parametrize("name", cli._BLAS_THREAD_VARS)
+def test_blas_pin_defers_to_exported_thread_count(name, tmp_path, monkeypatch, blas_threads):
+    monkeypatch.setenv(name, "2")
+    seen = []
+    _count_reader(monkeypatch, blas_threads, seen)
+    before = blas_threads() if blas_threads else None
+    assert cli.main(["ssr", "--N", "5", "--out", str(tmp_path / "s.csv")]) == 0
+    assert seen == [before]
+
+
+@pytest.mark.parametrize("patch", ["other_blas", "old_numpy", "no_symbols"])
+def test_blas_pin_is_a_no_op_without_openblas(patch, tmp_path, monkeypatch):
+    if patch == "other_blas":
+        monkeypatch.setattr(np, "show_config", lambda mode=None: {
+            "Build Dependencies": {"blas": {"name": "accelerate"}}})
+    elif patch == "old_numpy":  # show_config() takes no mode before numpy 1.25
+        monkeypatch.setattr(np, "show_config", lambda: None)
+    else:
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda path: object())
+    assert cli._openblas_thread_calls() is None
+    out = tmp_path / "c.csv"
+    assert cli.main(["constants", "--N", "5", "--out", str(out)]) == 0
+    assert out.exists()
+
+
+def test_constants_identical_across_workers(tmp_path, monkeypatch):
+    monkeypatch.delenv("FRAMEAPPROX_THREADS", raising=False)
+    args = ["constants", "--K", "2", "--nodes", "legendre", "--N", "5:5:20",
+            "--gammas", "1,1.5,2,3", "--eps", "1e-5,1e-8"]
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert cli.main(args + ["--workers", "1", "--out", str(a)]) == 0
+    assert cli.main(args + ["--workers", "3", "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
 
 
 def test_selftest_passes_on_fresh_build(capsys):

@@ -31,9 +31,12 @@ def test_constants_input_validation():
     frame, factor, system = _cell(6, 1, sampling.legendre_point_scheme(12))
     with pytest.raises(ValueError):
         diagnostics.compute_kappa(system, factor, 0.0)
-    other = gram.build_gram_factor(frames.onb_plus_k(7, 1))
-    with pytest.raises(ValueError):
-        diagnostics.compute_kappa(system, other, 1e-5)
+    # a factor of a larger frame, and of another frame with the same N
+    for other in (gram.build_gram_factor(frames.onb_plus_k(7, 1)),
+                  gram.build_gram_factor(frames.onb_plus_k(6, 2))):
+        for constant in (diagnostics.compute_kappa, diagnostics.compute_lambda):
+            with pytest.raises(ValueError):
+                constant(system, other, 1e-5)
 
 
 def test_constants_regression_enriched_gauss_cell():
@@ -145,8 +148,9 @@ def test_sweep_grid_and_ordering():
 
 
 def test_sweep_factors_each_frame_once(monkeypatch):
-    # one QR of H per frame, and one triangular solve for A' per (gamma, N) cell
-    calls = {"qr": 0, "solve_triangular": 0}
+    # one QR of H per frame; per (gamma, N) cell one triangular solve for A'
+    # and one product U* G for the Rayleigh quotients of every cutoff's kappa
+    calls = {"qr": 0, "solve_triangular": 0, "einsum": 0}
 
     def counting(module, name):
         real = getattr(module, name)
@@ -159,12 +163,13 @@ def test_sweep_factors_each_frame_once(monkeypatch):
 
     counting(np.linalg, "qr")
     counting(scipy.linalg, "solve_triangular")
+    counting(np, "einsum")
     rows = diagnostics.constants_sweep(
         lambda n: frames.onb_plus_k(n, 2),
         sampling.legendre_points(),
         gammas=(1.0, 1.5, 2.0, 3.0), Ns=(5, 10), epsilons=(1e-5, 1e-8))
     assert len(rows) == 16
-    assert calls == {"qr": 2, "solve_triangular": 8}
+    assert calls == {"qr": 2, "solve_triangular": 8, "einsum": 8}
 
 
 def test_sweep_parallel_matches_serial():
