@@ -8,13 +8,12 @@ indices K..N-1 are the polynomials phi_0, ..., phi_{N-K-1}.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
-from .orthopoly import legendre_table
+from .orthopoly import _as_nodes, legendre_table
 
 __all__ = [
     "FrameSpec",
@@ -35,14 +34,16 @@ class FrameSpec:
     """A truncated frame of N elements, the first K of them weighted.
 
     B_upper bounds the upper frame constant of the full (infinite) system
-    the truncation is drawn from, not of the truncation itself.
+    the truncation is drawn from, not of the truncation itself.  Frames
+    with different weight callables differ; the default np.log is one
+    object, so default frames compare equal.
     """
 
     K: int
     N: int
     B_upper: float
     normalize_psi: bool = False
-    weight: Callable = field(default=np.log, repr=False, compare=False)
+    weight: Callable = field(default=np.log, repr=False)
     weight_norm_sq: float = _LOG_NORM_SQ
 
     def __post_init__(self):
@@ -116,9 +117,11 @@ class CoefficientVector:
 def element_matrix(frame: FrameSpec, x) -> np.ndarray:
     """All frame elements evaluated at the points x, shape (N, len(x)).
 
-    Evaluation of a weighted element (row j < K) at x <= 0 is a domain error.
+    Long double points give long double values, weight included; any other
+    input is evaluated in double.  Evaluation of a weighted element
+    (row j < K) at x <= 0 is a domain error.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = _as_nodes(x)
     if np.any(x < 0.0) or np.any(x > 1.0):
         raise ValueError("evaluation points must lie in [0, 1]")
     K, N = frame.K, frame.N
@@ -126,12 +129,12 @@ def element_matrix(frame: FrameSpec, x) -> np.ndarray:
         raise ValueError("weighted frame elements are undefined at x = 0")
     max_deg = max(frame.max_poly_degree, K - 1, 0)
     table = legendre_table(max_deg, x)
-    out = np.empty((N, x.size))
+    out = np.empty((N, x.size), dtype=x.dtype)
     if K > 0:
-        w = np.asarray(frame.weight(x), dtype=float)
+        w = np.asarray(frame.weight(x), dtype=x.dtype)
         out[:K] = w[None, :] * table[:K]
         if frame.normalize_psi:
-            out[0] /= math.sqrt(frame.weight_norm_sq)
+            out[0] /= np.sqrt(x.dtype.type(frame.weight_norm_sq))
     if N > K:
         out[K:] = table[: N - K]
     return out

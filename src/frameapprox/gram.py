@@ -19,8 +19,12 @@ __all__ = [
     "build_gram_factor",
 ]
 
-# node-block size for quadrature assembly, keeps the basis table memory bounded
-_CHUNK = 8192
+# Values evaluated per node block by both quadrature assemblies (2 MiB of
+# doubles): N element values per node for the Gram factor, M basis plus N
+# element values for an inner-product system.  The N = 60 Gram factor rule
+# (41 * 72 nodes) and every inner-product system up to M = 46 at N = 40 are
+# one block.
+_BLOCK_VALUES = 2**18
 
 
 @dataclass
@@ -70,34 +74,46 @@ class GramSystem:
 
 @dataclass
 class GramFactor:
-    """A tall matrix H with H* H equal to the continuous Gram of the frame.
+    """The N x N upper-triangular factor R of the continuous Gram of the frame.
 
-    Row k of H holds sqrt(w_k) times the frame elements at quadrature
-    node k, so H* H reproduces the pairwise L2(0, 1) inner products.
-    R is the N x N upper-triangular factor of H = QR (Q with orthonormal
-    columns), so R* R is the same Gram and ||H X|| = ||R X|| for every X:
-    the stability constants need only R.
+    R* R = H* H is the Gram, where H is the tall quadrature factor: row k
+    of H holds sqrt(w_k) times the frame elements at node k of `rule`, so
+    H* H reproduces the pairwise L2(0, 1) inner products.  R is the R of
+    H = QR (Q with orthonormal columns), so ||H X|| = ||R X|| for every X
+    and the stability constants need only R.  H itself is not kept;
+    `matrix` evaluates it again from the rule and the frame.
     """
 
-    matrix: np.ndarray
     R: np.ndarray
     rule: QuadratureRule
     frame: FrameSpec
 
     @property
     def N(self) -> int:
-        return self.matrix.shape[1]
+        return self.R.shape[1]
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """H, rebuilt on every read (41 (N + 12) x N values)."""
+        return _weighted_elements(self.frame, self.rule, slice(None))
+
+
+def _node_blocks(size: int, values_per_node: int):
+    step = max(1, _BLOCK_VALUES // values_per_node)
+    return (slice(start, min(start + step, size)) for start in range(0, size, step))
+
+
+def _weighted_elements(frame: FrameSpec, rule: QuadratureRule, block: slice) -> np.ndarray:
+    # the rows of H at the rule's nodes in block
+    return np.sqrt(rule.weights[block])[:, None] * element_matrix(frame, rule.nodes[block]).T
 
 
 def _assemble_inner_product_matrix(frame: FrameSpec, M: int, rule: QuadratureRule) -> np.ndarray:
     G = np.zeros((M, frame.N))
-    for start in range(0, rule.size, _CHUNK):
-        stop = min(start + _CHUNK, rule.size)
-        nodes = rule.nodes[start:stop]
-        weights = rule.weights[start:stop]
-        basis = legendre_table(M - 1, nodes)
-        elems = element_matrix(frame, nodes)
-        G += (basis * weights[None, :]) @ elems.T
+    for block in _node_blocks(rule.size, M + frame.N):
+        basis = legendre_table(M - 1, rule.nodes[block])
+        elems = element_matrix(frame, rule.nodes[block])
+        G += (basis * rule.weights[block][None, :]) @ elems.T
     return G
 
 
@@ -114,14 +130,18 @@ def build_system(frame: FrameSpec, scheme: SamplingScheme) -> GramSystem:
 
 
 def build_gram_factor(frame: FrameSpec) -> GramFactor:
-    """Quadrature factor H of the continuous Gram of the frame.
-
-    Also holds the triangular factor R of H, computed here once per frame.
+    """Triangular factor R of the continuous Gram of the frame, computed once per frame.
 
     The rule subdivides geometrically toward the singular endpoint with
     per-cell order scaled to N, which keeps every Gram entry accurate to
-    about 1e-10 or better through N = 60.
+    about 1e-10 or better through N = 60.  R is built block by block
+    (sequential tall-skinny QR): each block of rows of H is stacked under
+    the running R and the stack is factored again, so at most one block of
+    H exists at a time.  Through N = 60 the rule is one block.
     """
     rule = hp_log_quadrature(levels=40, order=max(12, frame.N + 12))
-    H = np.sqrt(rule.weights)[:, None] * element_matrix(frame, rule.nodes).T
-    return GramFactor(matrix=H, R=np.linalg.qr(H, mode="r"), rule=rule, frame=frame)
+    R = None
+    for block in _node_blocks(rule.size, frame.N):
+        rows = _weighted_elements(frame, rule, block)
+        R = np.linalg.qr(rows if R is None else np.vstack((R, rows)), mode="r")
+    return GramFactor(R=R, rule=rule, frame=frame)

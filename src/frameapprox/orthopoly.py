@@ -54,24 +54,32 @@ class QuadratureRule:
         return float(self.weights @ vals)
 
 
+def _as_nodes(x) -> np.ndarray:
+    """x as a 1-d array of evaluation points: long double stays, anything else is double."""
+    x = np.atleast_1d(np.asarray(x))
+    return x if x.dtype == np.longdouble else x.astype(float, copy=False)
+
+
 def legendre_table(max_degree: int, x) -> np.ndarray:
     """Table of orthonormal shifted Legendre values on [0, 1].
 
     Returns an array of shape (max_degree + 1, len(x)) whose row n holds
-    sqrt(2n + 1) * P_n(2x - 1), an orthonormal family in L2(0, 1).
+    sqrt(2n + 1) * P_n(2x - 1), an orthonormal family in L2(0, 1).  Long
+    double points give long double values; any other input is evaluated
+    in double.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = _as_nodes(x)
     t = 2.0 * x - 1.0
-    table = np.empty((max_degree + 1, x.size))
+    table = np.empty((max_degree + 1, x.size), dtype=x.dtype)
     table[0] = 1.0
     if max_degree >= 1:
         table[1] = t
     for n in range(1, max_degree):
         # three-term recurrence for P_{n+1} in the unnormalized convention
         table[n + 1] = ((2 * n + 1) * t * table[n] - n * table[n - 1]) / (n + 1)
-    scale = np.sqrt(2.0 * np.arange(max_degree + 1) + 1.0)
+    scale = np.sqrt(2 * np.arange(max_degree + 1, dtype=x.dtype) + 1)
     return table * scale[:, None]
 
 

@@ -5,9 +5,9 @@ triangular factor R of the Gram factor (H = QR) to the small
 right-singular blocks and asks for one spectral norm.  These oracles
 instead apply the tall quadrature matrix H itself, build the full
 operator matrices entry by entry and extract the largest eigenvalue of
-the associated quadratic form.  Production no longer touches H after
-factoring it, so the H route here is an independent check and agreement
-is evidence and not tautology.
+the associated quadratic form.  Production never holds H (GramFactor.matrix
+evaluates it again on each read), so the H route here is an independent
+check and agreement is evidence and not tautology.
 """
 
 import numpy as np
@@ -49,10 +49,11 @@ def random_vector_lower_estimate(system, factor, epsilon, draws, rng):
         return 0.0
     inv = np.zeros_like(s)
     inv[kept] = 1.0 / s[kept]
+    H = factor.matrix  # each read evaluates H again
     best = 0.0
     for _ in range(draws):
         y = rng.standard_normal(system.M)
         y /= np.linalg.norm(y)
         x = (system.Vt.T * inv) @ (system.U.T @ y)
-        best = max(best, float(np.linalg.norm(factor.matrix @ x)))
+        best = max(best, float(np.linalg.norm(H @ x)))
     return best

@@ -39,6 +39,22 @@ def test_constants_input_validation():
                 constant(system, other, 1e-5)
 
 
+def test_factor_of_another_weight_is_rejected():
+    # the two frames differ only in their weight callable
+    frame = frames.onb_plus_k(10, 2)
+    other = frames.onb_plus_k(10, 2, weight=lambda x: np.log(x) ** 2)
+    assert frame != other
+    assert frame == frames.onb_plus_k(10, 2)
+    assert hash(frame) == hash(frames.onb_plus_k(10, 2))
+    system = gram.build_system(frame, sampling.legendre_point_scheme(20))
+    factor = gram.build_gram_factor(other)
+    for constant in (diagnostics.compute_kappa, diagnostics.compute_lambda):
+        with pytest.raises(ValueError):
+            constant(system, factor, 1e-5)
+    with pytest.raises(ValueError):
+        sampling.richness_estimate(system, factor)
+
+
 def test_constants_regression_enriched_gauss_cell():
     frame, factor, system = _cell(40, 5, sampling.legendre_point_scheme(80))
     kappa = diagnostics.compute_kappa(system, factor, 1e-5)

@@ -1,5 +1,7 @@
 """Sampled Gram systems and the continuous Gram factor."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -141,3 +143,51 @@ def test_gram_factor_triangular_factor_reproduces_gram():
     assert np.array_equal(R, np.triu(R))
     scale = np.linalg.norm(H, 2) ** 2
     assert np.abs(R.T @ R - H.T @ H).max() < 1e-13 * scale
+
+
+def test_one_block_factor_is_the_qr_of_the_whole_quadrature_factor():
+    # through N = 60 the rule is one block, so R is bit for bit the one-shot R
+    for N in (20, 60):
+        factor = gram.build_gram_factor(frames.onb_plus_k(N, 5))
+        assert factor.rule.size * N <= gram._BLOCK_VALUES
+        assert np.array_equal(factor.R, np.linalg.qr(factor.matrix, mode="r"))
+
+
+@pytest.mark.parametrize("N", [100, 200])
+def test_blocked_factor_reproduces_gram(N):
+    factor = gram.build_gram_factor(frames.onb_plus_k(N, 5))
+    H, R = factor.matrix, factor.R
+    assert factor.rule.size * N > gram._BLOCK_VALUES  # more than one block
+    assert factor.N == N and R.shape == (N, N)
+    assert np.array_equal(R, np.triu(R))
+    scale = np.linalg.norm(H, 2) ** 2
+    assert np.abs(R.T @ R - H.T @ H).max() < 1e-13 * scale
+
+
+def test_blocks_of_fewer_rows_than_elements_give_square_factor(monkeypatch):
+    # above N = 512 a block holds fewer than N nodes, and the first R is trapezoidal
+    monkeypatch.setattr(gram, "_BLOCK_VALUES", 100)
+    factor = gram.build_gram_factor(frames.onb_plus_k(20, 5))
+    H, R = factor.matrix, factor.R
+    assert R.shape == (20, 20)
+    scale = np.linalg.norm(H, 2) ** 2
+    assert np.abs(R.T @ R - H.T @ H).max() < 1e-13 * scale
+
+
+def test_factor_keeps_no_array_larger_than_r():
+    N = 200
+    factor = gram.build_gram_factor(frames.onb_plus_k(N, 5))
+    arrays = [v for v in vars(factor).values() if isinstance(v, np.ndarray)]
+    assert arrays and all(a.size <= N * N for a in arrays)
+
+
+def test_factor_build_never_holds_the_whole_quadrature_factor():
+    # H alone is 8692 x 200 doubles (13.9 MB) at N = 200
+    frame = frames.onb_plus_k(200, 5)
+    tracemalloc.start()
+    try:
+        gram.build_gram_factor(frame)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6
