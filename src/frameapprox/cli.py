@@ -1,9 +1,9 @@
 """Command line driver for the approximation experiments.
 
-Each subcommand runs one experiment over a parameter sweep and writes a
-CSV file (comma delimiter, LF endings, 17 significant digits) that a
-generic plotter can consume.  ``selftest`` runs seeded analytic checks
-and prints one pass/fail line per check.
+The first argument names the experiment; the options are shared.  Each
+experiment runs one parameter sweep and writes a CSV file (comma delimiter,
+LF endings, 17 significant digits) that a generic plotter can consume.
+selftest runs seeded analytic checks and prints one pass/fail line per check.
 
 Exit codes: 0 success, 1 invalid configuration, 2 numerical failure.
 """
@@ -31,8 +31,14 @@ _SCHEME_FAMILIES = {
     "equispaced": sampling.equispaced_points(),
     "inner": sampling.inner_products(),
 }
-_SCHEME_CHOICES = tuple(_SCHEME_FAMILIES)
-_EXPERIMENTS = ("pointwise_error", "oversampling", "constants", "ssr", "single_approx")
+_EXPERIMENTS = {
+    "pointwise_error": "error at probe points along an N sweep",
+    "oversampling": "error against M at fixed N",
+    "constants": "stability constants over a (gamma, N, eps) grid",
+    "ssr": "stable sampling rate along an N sweep",
+    "single_approx": "one approximation at fixed N and M",
+    "selftest": "seeded analytic and invariant checks",
+}
 
 
 class ConfigError(ValueError):
@@ -80,7 +86,7 @@ def _parse_m_rule(text: str) -> Callable[[int], int]:
     try:
         if body is not None:
             coeff = 1.0 if body == "" else float(body)
-            if coeff <= 0:
+            if not 0 < coeff < math.inf:
                 raise ValueError
             return lambda n: max(1, math.ceil(coeff * n))
         fixed = int(raw)
@@ -112,11 +118,11 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.experiment not in _EXPERIMENTS + ("selftest",):
+        if self.experiment not in _EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
         if self.frame not in ("onbk", "onb"):
             raise ConfigError(f"unknown frame {self.frame!r}")
-        if self.nodes not in _SCHEME_CHOICES:
+        if self.nodes not in _SCHEME_FAMILIES:
             raise ConfigError(f"unknown node family {self.nodes!r}")
         if self.K < 0:
             raise ConfigError("K must be nonnegative")
@@ -130,7 +136,7 @@ class ExperimentConfig:
                 raise ConfigError(f"probe point {p} outside (0, 1]")
         if not self.probes:
             raise ConfigError("probe list is empty")
-        if self.theta <= 1:
+        if not self.theta > 1:  # also rejects nan
             raise ConfigError("theta must exceed 1")
         if self.workers < 1:
             raise ConfigError("workers must be at least 1")
@@ -176,7 +182,7 @@ _CONFIG_KEYS = {
 
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     values = {}
-    if getattr(args, "config", None):
+    if args.config:
         values.update(_read_config_file(args.config))
         unknown = set(values) - _CONFIG_KEYS
         if unknown:
@@ -184,13 +190,11 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
         if "experiment" in values and values["experiment"] != args.experiment:
             raise ConfigError(
                 f"config file names experiment {values['experiment']!r} "
-                f"but subcommand is {args.experiment!r}"
+                f"but the experiment argument is {args.experiment!r}"
             )
     # command-line flags win over config file entries
-    for key in ("frame", "K", "normalize_psi", "nodes", "N", "M", "M_rule",
-                "gammas", "eps", "theta", "probes", "out", "seed", "workers"):
-        flag = getattr(args, key, None)
-        if flag is not None:
+    for key, flag in vars(args).items():
+        if key in _CONFIG_KEYS and flag is not None:
             values[key] = flag
 
     def _get(key, default=None):
@@ -328,8 +332,8 @@ def run_constants(cfg: ExperimentConfig) -> Path:
     """Stability constants over a (gamma, N, epsilon) grid."""
     Ns = _require_sweep(cfg.N_values, "N")
     for gamma in cfg.gammas:
-        if gamma < 1:
-            raise ConfigError(f"gamma must be at least 1, got {gamma}")
+        if not 1 <= gamma < math.inf:
+            raise ConfigError(f"gamma must be finite and at least 1, got {gamma}")
     sweep = diagnostics.constants_sweep(
         cfg.frame_for, cfg.scheme_family(), cfg.gammas, Ns, cfg.epsilons,
         workers=cfg.workers,
@@ -509,42 +513,31 @@ def run_selftest(cfg: ExperimentConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--frame", choices=("onbk", "onb"), default=None,
-                        help="frame family: enriched (onbk) or plain polynomial (onb)")
-    parser.add_argument("--K", type=int, default=None, help="number of enrichment elements")
-    parser.add_argument("--normalize-psi", dest="normalize_psi", default=None,
-                        help="normalize the K=1 enrichment element: auto, on, off")
-    parser.add_argument("--nodes", choices=_SCHEME_CHOICES, default=None,
-                        help="sampling scheme family")
-    parser.add_argument("--N", default=None, help="N value or start:step:stop sweep")
-    parser.add_argument("--M", default=None, help="M value or start:step:stop sweep")
-    parser.add_argument("--M-rule", dest="M_rule", default=None,
-                        help="M as a function of N, e.g. 2N, 1.5N, or a fixed integer")
-    parser.add_argument("--gammas", default=None, help="comma list of oversampling ratios")
-    parser.add_argument("--eps", default=None, help="comma list of truncation thresholds")
-    parser.add_argument("--theta", type=float, default=None, help="stability target for ssr")
-    parser.add_argument("--probes", default=None, help="comma list of probe points in (0, 1]")
-    parser.add_argument("--out", default=None, help="output CSV path")
-    parser.add_argument("--seed", type=int, default=None, help="seed for randomized checks")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="worker threads for sweeps (capped by FRAMEAPPROX_THREADS)")
-    parser.add_argument("--config", default=None, help="key = value config file")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="frameapprox", description=__doc__)
-    sub = parser.add_subparsers(dest="experiment", required=True, parser_class=_Parser)
-    for name, help_text in (
-        ("pointwise_error", "error at probe points along an N sweep"),
-        ("oversampling", "error against M at fixed N"),
-        ("constants", "stability constants over a (gamma, N, eps) grid"),
-        ("ssr", "stable sampling rate along an N sweep"),
-        ("single_approx", "one approximation at fixed N and M"),
-        ("selftest", "seeded analytic and invariant checks"),
-    ):
-        _add_common(sub.add_parser(name, help=help_text))
-    return parser
+# built once, since each add_argument call sizes a help formatter to the terminal
+_PARSER = _Parser(prog="frameapprox", description=__doc__,
+                  formatter_class=argparse.RawDescriptionHelpFormatter, epilog="experiments:\n"
+                  + "\n".join(f"  {name:<16} {text}" for name, text in _EXPERIMENTS.items()))
+_PARSER.add_argument("experiment", choices=_EXPERIMENTS, metavar="experiment",
+                     help="experiment to run (listed below)")
+_PARSER.add_argument("--frame", choices=("onbk", "onb"),
+                     help="frame family: enriched (onbk) or plain polynomial (onb)")
+_PARSER.add_argument("--K", type=int, help="number of enrichment elements")
+_PARSER.add_argument("--normalize-psi", dest="normalize_psi",
+                     help="normalize the K=1 enrichment element: auto, on, off")
+_PARSER.add_argument("--nodes", choices=_SCHEME_FAMILIES, help="sampling scheme family")
+_PARSER.add_argument("--N", help="N value or start:step:stop sweep")
+_PARSER.add_argument("--M", help="M value or start:step:stop sweep")
+_PARSER.add_argument("--M-rule", dest="M_rule",
+                     help="M as a function of N, e.g. 2N, 1.5N, or a fixed integer")
+_PARSER.add_argument("--gammas", help="comma list of oversampling ratios")
+_PARSER.add_argument("--eps", help="comma list of truncation thresholds")
+_PARSER.add_argument("--theta", type=float, help="stability target for ssr")
+_PARSER.add_argument("--probes", help="comma list of probe points in (0, 1]")
+_PARSER.add_argument("--out", help="output CSV path")
+_PARSER.add_argument("--seed", type=int, help="seed for randomized checks")
+_PARSER.add_argument("--workers", type=int,
+                     help="worker threads for sweeps (capped by FRAMEAPPROX_THREADS)")
+_PARSER.add_argument("--config", help="key = value config file")
 
 
 _RUNNERS = {
@@ -611,7 +604,7 @@ def _one_blas_thread():
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
         cfg = _build_config(args)
         if cfg.experiment != "selftest":
             _check_writable(cfg.out_path())

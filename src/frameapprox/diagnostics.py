@@ -168,15 +168,20 @@ def stable_sampling_rate(
 ) -> Optional[int]:
     """Smallest M >= frame.N on the search grid with max(kappa, lambda) <= theta.
 
-    Returns None when the grid is exhausted without a hit.
+    Returns None when the grid is exhausted without a hit; raises ValueError
+    for a theta not above 1, a stride below 1 or an M_max below frame.N.
     """
-    if theta <= 1.0:
+    if not theta > 1.0:  # also rejects nan
         raise ValueError("theta must be > 1")
     N = frame.N
     if M_max is None:
         M_max = 64 * N
     if stride is None:
         stride = max(1, N // 20)
+    if stride < 1:
+        raise ValueError(f"stride must be at least 1, got {stride}")
+    if M_max < N:
+        raise ValueError(f"M_max must be at least frame.N = {N}, got {M_max}")
 
     factor = build_gram_factor(frame)
     for M in range(N, M_max + 1, stride):

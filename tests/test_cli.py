@@ -1,8 +1,10 @@
 """Experiment driver: flags, file formats, exit codes, determinism."""
 
+import argparse
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -120,11 +122,84 @@ def test_single_approx_summary(tmp_path, capsys):
     ["pointwise_error", "--N", "5", "--eps", "1e-5,1e-8"],
     ["oversampling", "--N", "10", "--M", "10:10:20", "--eps", "1e-5,1e-8"],
     ["single_approx", "--N", "10", "--M", "20", "--eps", "1e-5,1e-8"],
+    # non-finite values, which no comparison with a bound catches
+    ["ssr", "--N", "5", "--theta", "nan"],
+    ["constants", "--N", "5", "--gammas", "nan"],
+    ["constants", "--N", "5", "--gammas", "inf"],
+    ["pointwise_error", "--N", "5", "--M-rule", "nanN"],
+    ["pointwise_error", "--N", "5", "--M-rule", "infN"],
+    ["--N", "5"],  # no experiment
+    ["--N", "5", "bogus_experiment"],
 ])
 def test_invalid_configurations_exit_one(argv, tmp_path, capsys):
     code = cli.main(argv + ["--out", str(tmp_path / "x.csv")])
     assert code == 1
-    assert capsys.readouterr().err != ""
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_second_main_call_builds_no_parser(tmp_path, monkeypatch):
+    argv = ["pointwise_error", "--N", "5", "--out", str(tmp_path / "x.csv")]
+    assert cli.main(argv) == 0
+    calls = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
+    assert cli.main(argv) == 0
+    assert calls == []
+
+
+# expected configurations as the parser with one subparser per experiment gave them
+@pytest.mark.parametrize("argv,expected", [
+    (["pointwise_error", "--frame", "onbk", "--K", "5", "--nodes", "chebyshev",
+      "--M-rule", "1.5N", "--N", "5:5:20", "--eps", "2e-13", "--probes", "0.2,0.5,0.9",
+      "--out", "pe.csv"],
+     cli.ExperimentConfig("pointwise_error", K=5, N_values=[5, 10, 15, 20], M_rule="1.5N",
+                          epsilons=[2e-13], probes=[0.2, 0.5, 0.9], out=Path("pe.csv"))),
+    (["oversampling", "--K", "2", "--normalize-psi", "off", "--N", "46",
+      "--nodes", "legendre", "--M", "40:40:200", "--seed", "3"],
+     cli.ExperimentConfig("oversampling", K=2, normalize_psi=False, nodes="legendre",
+                          N_values=[46], M_values=[40, 80, 120, 160, 200], seed=3)),
+    (["constants", "--K", "5", "--eps", "1e-5,1e-8", "--gammas", "1,1.5,2,3",
+      "--nodes", "equispaced", "--N", "5:5:20", "--workers", "2"],
+     cli.ExperimentConfig("constants", K=5, nodes="equispaced", N_values=[5, 10, 15, 20],
+                          gammas=[1.0, 1.5, 2.0, 3.0], epsilons=[1e-5, 1e-8], workers=2)),
+    (["ssr", "--K", "1", "--nodes", "inner", "--theta", "2.5", "--N", "5:5:15",
+      "--eps", "1e-5"],
+     cli.ExperimentConfig("ssr", nodes="inner", N_values=[5, 10, 15], epsilons=[1e-5],
+                          theta=2.5)),
+    (["single_approx", "--frame", "onb", "--K", "0", "--N", "20", "--M", "40",
+      "--nodes", "chebyshev-weighted", "--eps", "2e-13"],
+     cli.ExperimentConfig("single_approx", frame="onb", K=0, nodes="chebyshev-weighted",
+                          N_values=[20], M_values=[40], epsilons=[2e-13])),
+    (["selftest", "--seed", "7"], cli.ExperimentConfig("selftest", seed=7)),
+])
+def test_parsed_configuration(argv, expected, monkeypatch):
+    monkeypatch.delenv("FRAMEAPPROX_THREADS", raising=False)
+    assert cli._build_config(cli._PARSER.parse_args(argv)) == expected
+
+
+def test_options_may_precede_the_experiment(tmp_path):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert cli.main(["--K", "2", "--nodes", "legendre", "constants", "--N", "5",
+                     "--out", str(a)]) == 0
+    assert cli.main(["constants", "--K", "2", "--nodes", "legendre", "--N", "5",
+                     "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["constants", "--help"]])
+def test_help_lists_every_experiment(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for name in ("pointwise_error", "oversampling", "constants", "ssr", "single_approx",
+                 "selftest"):
+        assert f"\n  {name} " in out
 
 
 @pytest.mark.parametrize("name,builder", [

@@ -245,5 +245,17 @@ def test_ssr_respects_stride_grid():
 
 def test_ssr_rejects_theta_at_or_below_one():
     frame = frames.legendre_onb(5)
-    with pytest.raises(ValueError):
-        diagnostics.stable_sampling_rate(frame, sampling.inner_products(), 1.0, 1e-5)
+    for theta in (1.0, float("nan")):
+        with pytest.raises(ValueError, match="theta"):
+            diagnostics.stable_sampling_rate(frame, sampling.inner_products(), theta, 1e-5)
+
+
+@pytest.mark.parametrize("grid,name", [
+    ({"stride": 0}, "stride"),
+    ({"stride": -1}, "stride"),
+    ({"M_max": 4}, "M_max"),
+])
+def test_ssr_rejects_an_invalid_search_grid(grid, name):
+    frame = frames.legendre_onb(5)
+    with pytest.raises(ValueError, match=name):
+        diagnostics.stable_sampling_rate(frame, sampling.inner_products(), 2.0, 1e-5, **grid)
