@@ -23,6 +23,8 @@ import numpy as np
 from . import diagnostics, frames, gram, orthopoly, sampling, solver
 
 DEFAULT_PROBES = (0.2, 0.5, 0.9, 1.0)
+# largest sampled system M x N the CLI builds: 2^27 values, 1 GiB of doubles
+MAX_SYSTEM_VALUES = 2**27
 
 _SCHEME_FAMILIES = {
     "chebyshev": sampling.chebyshev_points(),
@@ -79,6 +81,15 @@ def _parse_float_list(text: str, name: str) -> List[float]:
     return values
 
 
+def _system_rows(M: float, N: int) -> int:
+    """ceil(M), once the M x N system is known to fit MAX_SYSTEM_VALUES."""
+    # compared before ceil, which would raise on an M that overflowed to inf
+    if not M * N <= MAX_SYSTEM_VALUES:
+        # M itself is not printed: an integer M may be too large for a float
+        raise ConfigError(f"M x N at N = {N} exceeds the cap of {MAX_SYSTEM_VALUES} values")
+    return max(1, math.ceil(M))
+
+
 def _parse_m_rule(text: str) -> Callable[[int], int]:
     """Parse an M rule: '2N', '1.5N', 'N', or a fixed integer like '80'."""
     raw = text.strip()
@@ -88,11 +99,11 @@ def _parse_m_rule(text: str) -> Callable[[int], int]:
             coeff = 1.0 if body == "" else float(body)
             if not 0 < coeff < math.inf:
                 raise ValueError
-            return lambda n: max(1, math.ceil(coeff * n))
+            return lambda n: _system_rows(coeff * n, n)
         fixed = int(raw)
         if fixed < 1:
             raise ValueError
-        return lambda n: fixed
+        return lambda n: _system_rows(fixed, n)
     except ValueError:
         raise ConfigError(f"could not parse M rule {text!r}") from None
 
@@ -127,8 +138,8 @@ class ExperimentConfig:
         if self.K < 0:
             raise ConfigError("K must be nonnegative")
         for eps in self.epsilons:
-            if not eps > 0:
-                raise ConfigError("epsilon values must be positive")
+            if not 0 < eps < math.inf:
+                raise ConfigError("epsilon values must be positive and finite")
         if not self.epsilons:
             raise ConfigError("epsilon sweep is empty")
         for p in self.probes:
@@ -293,12 +304,12 @@ def run_pointwise_error(cfg: ExperimentConfig) -> Path:
     """Pointwise error at probe points along an N sweep with M tied to N."""
     Ns = _require_sweep(cfg.N_values, "N")
     rule = _parse_m_rule(cfg.M_rule)
+    Ms = [rule(N) for N in Ns]
     eps = _single_epsilon(cfg)
     family = cfg.scheme_family()
     rows = []
-    for N in Ns:
+    for N, M in zip(Ns, Ms):
         frame = cfg.frame_for(N)
-        M = rule(N)
         approx = solver.approximate(frames.target_function, frame, family, M=M, epsilon=eps)
         report = solver.error_report(approx, frames.target_function, cfg.probes)
         for probe, err in zip(report.probes, report.errors):
@@ -315,6 +326,8 @@ def run_oversampling(cfg: ExperimentConfig) -> Path:
         raise ConfigError("oversampling takes a single N")
     Ms = _require_sweep(cfg.M_values, "M")
     N = Ns[0]
+    for M in Ms:
+        _system_rows(M, N)
     eps = _single_epsilon(cfg)
     frame = cfg.frame_for(N)
     family = cfg.scheme_family()
@@ -334,6 +347,8 @@ def run_constants(cfg: ExperimentConfig) -> Path:
     for gamma in cfg.gammas:
         if not 1 <= gamma < math.inf:
             raise ConfigError(f"gamma must be finite and at least 1, got {gamma}")
+        for N in Ns:
+            _system_rows(gamma * N, N)
     sweep = diagnostics.constants_sweep(
         cfg.frame_for, cfg.scheme_family(), cfg.gammas, Ns, cfg.epsilons,
         workers=cfg.workers,
@@ -350,6 +365,8 @@ def run_constants(cfg: ExperimentConfig) -> Path:
 def run_ssr(cfg: ExperimentConfig) -> Path:
     """Stable sampling rate along an N sweep; -1 marks an unreachable target."""
     Ns = _require_sweep(cfg.N_values, "N")
+    for N in Ns:
+        _system_rows(N, N)  # the first and smallest system of the search
     family = cfg.scheme_family()
     rows = []
     for N in Ns:
@@ -368,7 +385,7 @@ def run_single_approx(cfg: ExperimentConfig) -> Path:
     Ms = _require_sweep(cfg.M_values, "M")
     if len(Ns) != 1 or len(Ms) != 1:
         raise ConfigError("single_approx takes a single N and a single M")
-    N, M = Ns[0], Ms[0]
+    N, M = Ns[0], _system_rows(Ms[0], Ns[0])
     eps = _single_epsilon(cfg)
     approx = solver.approximate(
         frames.target_function, cfg.frame_for(N), cfg.scheme_family(), M=M, epsilon=eps

@@ -8,7 +8,7 @@ from typing import Optional
 
 import numpy as np
 
-from .frames import FrameSpec, element_matrix
+from .frames import FrameSpec, _elements_from_table, _table_degree, element_matrix
 from .orthopoly import QuadratureRule, hp_log_quadrature, legendre_table
 from .sampling import SamplingScheme, SchemeKind
 
@@ -19,11 +19,11 @@ __all__ = [
     "build_gram_factor",
 ]
 
-# Values evaluated per node block by both quadrature assemblies (2 MiB of
-# doubles): N element values per node for the Gram factor, M basis plus N
-# element values for an inner-product system.  The N = 60 Gram factor rule
-# (41 * 72 nodes) and every inner-product system up to M = 46 at N = 40 are
-# one block.
+# Values per node block of both quadrature assemblies (2 MiB of doubles): N
+# element values per node for the Gram factor, M basis plus N element values
+# for an inner-product system (whose one Legendre table per block serves
+# both).  The N = 60 Gram factor rule (41 * 72 nodes) and every
+# inner-product system up to M = 46 at N = 40 are one block.
 _BLOCK_VALUES = 2**18
 
 
@@ -109,11 +109,19 @@ def _weighted_elements(frame: FrameSpec, rule: QuadratureRule, block: slice) -> 
 
 
 def _assemble_inner_product_matrix(frame: FrameSpec, M: int, rule: QuadratureRule) -> np.ndarray:
+    """G[m, j] = sum_k w_k phi_m(x_k) elem_j(x_k) over the rule, block by block.
+
+    Per node block one Legendre table of degree max(M - 1, frame degree)
+    gives both the M basis rows (its first M rows) and the frame elements,
+    since row n of the table does not depend on its length.
+    """
     G = np.zeros((M, frame.N))
+    degree = max(M - 1, _table_degree(frame))
     for block in _node_blocks(rule.size, M + frame.N):
-        basis = legendre_table(M - 1, rule.nodes[block])
-        elems = element_matrix(frame, rule.nodes[block])
-        G += (basis * rule.weights[block][None, :]) @ elems.T
+        nodes = rule.nodes[block]
+        table = legendre_table(degree, nodes)
+        elems = _elements_from_table(frame, nodes, table)
+        G += (table[:M] * rule.weights[block][None, :]) @ elems.T
     return G
 
 

@@ -66,7 +66,13 @@ def legendre_table(max_degree: int, x) -> np.ndarray:
     Returns an array of shape (max_degree + 1, len(x)) whose row n holds
     sqrt(2n + 1) * P_n(2x - 1), an orthonormal family in L2(0, 1).  Long
     double points give long double values; any other input is evaluated
-    in double.
+    in double.  Row n does not depend on max_degree, so one table of the
+    largest degree a caller needs serves every shorter one.
+
+    The three-term recurrence runs in place on the rows of the table with
+    one scratch row, in the operation order
+    ((2n + 1) t P_n - n P_{n-1}) / (n + 1); the sqrt(2n + 1) scale is
+    applied afterwards.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
@@ -76,9 +82,15 @@ def legendre_table(max_degree: int, x) -> np.ndarray:
     table[0] = 1.0
     if max_degree >= 1:
         table[1] = t
+    scratch = np.empty_like(t)
     for n in range(1, max_degree):
         # three-term recurrence for P_{n+1} in the unnormalized convention
-        table[n + 1] = ((2 * n + 1) * t * table[n] - n * table[n - 1]) / (n + 1)
+        row = table[n + 1]
+        np.multiply(t, 2 * n + 1, out=row)
+        np.multiply(row, table[n], out=row)
+        np.multiply(table[n - 1], n, out=scratch)
+        np.subtract(row, scratch, out=row)
+        np.divide(row, n + 1, out=row)
     scale = np.sqrt(2 * np.arange(max_degree + 1, dtype=x.dtype) + 1)
     return table * scale[:, None]
 
@@ -142,10 +154,7 @@ def hp_log_quadrature(levels: int = 40, order: int = 10) -> QuadratureRule:
         raise ValueError("order must be >= 1")
     base_nodes, base_weights = _gauss_legendre_cached(order)
     edges = np.concatenate(([0.0], np.ldexp(1.0, -np.arange(levels, -1, -1))))
-    nodes = []
-    weights = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        h = b - a
-        nodes.append(a + h * base_nodes)
-        weights.append(h * base_weights)
-    return QuadratureRule(nodes=np.concatenate(nodes), weights=np.concatenate(weights))
+    # one row per cell [a, a + h]
+    a = edges[:-1, None]
+    h = np.diff(edges)[:, None]
+    return QuadratureRule(nodes=(a + h * base_nodes).ravel(), weights=(h * base_weights).ravel())

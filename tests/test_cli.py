@@ -130,11 +130,39 @@ def test_single_approx_summary(tmp_path, capsys):
     ["pointwise_error", "--N", "5", "--M-rule", "infN"],
     ["--N", "5"],  # no experiment
     ["--N", "5", "bogus_experiment"],
+    # a cutoff above every singular value keeps nothing
+    ["constants", "--N", "5", "--eps", "inf"],
+    ["pointwise_error", "--N", "5", "--eps", "inf"],
+    ["ssr", "--N", "5", "--eps", "inf"],
 ])
 def test_invalid_configurations_exit_one(argv, tmp_path, capsys):
     code = cli.main(argv + ["--out", str(tmp_path / "x.csv")])
     assert code == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["pointwise_error", "--N", "5", "--M-rule", "1e300N"],
+    ["pointwise_error", "--N", "5", "--M-rule", "1e308N"],  # coefficient times N is inf
+    ["pointwise_error", "--N", "5", "--M-rule", "100000000000"],
+    ["pointwise_error", "--N", "5:5:20", "--M-rule", "2000000N"],  # only N >= 10 is too big
+    ["constants", "--N", "5", "--gammas", "1e300"],
+    ["oversampling", "--N", "5", "--M", "100000000000"],
+    ["oversampling", "--N", "5", "--M", "1" + "0" * 400],  # no float holds this M
+    ["single_approx", "--N", "5", "--M", "100000000000"],
+    ["ssr", "--N", "20000"],
+])
+def test_oversized_systems_exit_one_before_computing(argv, tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("computed before the system size was checked")
+
+    for owner, name in ((cli.solver, "approximate"), (cli.diagnostics, "constants_sweep"),
+                        (cli.diagnostics, "stable_sampling_rate")):
+        monkeypatch.setattr(owner, name, refuse)
+    code = cli.main(argv + ["--out", str(tmp_path / "x.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"cap of {cli.MAX_SYSTEM_VALUES} values" in err
 
 
 def test_second_main_call_builds_no_parser(tmp_path, monkeypatch):

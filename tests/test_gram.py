@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frameapprox import frames, gram, sampling
+from frameapprox import frames, gram, orthopoly, sampling
 
 
 def test_pure_basis_inner_product_system_is_identity_block():
@@ -17,6 +17,51 @@ def test_pure_basis_inner_product_system_is_identity_block():
     expected[:8, :8] = np.eye(8)
     assert np.abs(system.matrix - expected).max() < 1e-13
     assert system.M == 14 and system.N == 8
+
+
+def _two_table_assembly(frame, M, rule):
+    # one Legendre table for the basis rows and another inside element_matrix
+    G = np.zeros((M, frame.N))
+    for block in gram._node_blocks(rule.size, M + frame.N):
+        basis = orthopoly.legendre_table(M - 1, rule.nodes[block])
+        elems = frames.element_matrix(frame, rule.nodes[block])
+        G += (basis * rule.weights[block][None, :]) @ elems.T
+    return G
+
+
+@pytest.mark.parametrize("frame, M", [
+    (frames.legendre_onb(10), 4),
+    (frames.legendre_onb(10), 14),
+    (frames.onb_plus_k(10, 1), 5),  # normalized enrichment
+    (frames.onb_plus_k(20, 5), 8),  # M < N - K: the frame sets the table degree
+    (frames.onb_plus_k(20, 5), 40),
+    (frames.onb_plus_k(60, 5), 120),  # four node blocks
+])
+def test_inner_product_system_equals_two_table_assembly(frame, M):
+    scheme = sampling.inner_product_scheme(M)
+    blocks = len(list(gram._node_blocks(scheme.rule.size, M + frame.N)))
+    assert (blocks > 1) == (frame.N == 60)
+    system = gram.build_system(frame, scheme)
+    assert np.array_equal(system.matrix, _two_table_assembly(frame, M, scheme.rule))
+
+
+def test_inner_product_assembly_evaluates_one_table_per_block(monkeypatch):
+    frame, scheme = frames.onb_plus_k(60, 5), sampling.inner_product_scheme(120)
+    calls = []
+
+    def counting(max_degree, x):
+        calls.append((max_degree, len(x)))
+        return orthopoly.legendre_table(max_degree, x)
+
+    def refuse(*args):
+        raise AssertionError("element_matrix evaluates a second table")
+
+    monkeypatch.setattr(gram, "legendre_table", counting)
+    monkeypatch.setattr(gram, "element_matrix", refuse)
+    monkeypatch.setattr(frames, "element_matrix", refuse)
+    gram.build_system(frame, scheme)
+    blocks = [b.stop - b.start for b in gram._node_blocks(scheme.rule.size, 120 + 60)]
+    assert calls == [(119, size) for size in blocks] and len(blocks) == 4
 
 
 def test_svd_factors_reconstruct_and_are_orthogonal():

@@ -97,6 +97,30 @@ def test_legendre_sup_norm_bound(n, x):
     assert abs(orthopoly.legendre_shifted(n, x)) <= np.sqrt(2 * n + 1) + 1e-10
 
 
+def _reference_table(max_degree, x):
+    # reference: the same recurrence with a fresh array per operation
+    t = 2.0 * x - 1.0
+    table = np.empty((max_degree + 1, x.size), dtype=x.dtype)
+    table[0] = 1.0
+    if max_degree >= 1:
+        table[1] = t
+    for n in range(1, max_degree):
+        table[n + 1] = ((2 * n + 1) * t * table[n] - n * table[n - 1]) / (n + 1)
+    scale = np.sqrt(2 * np.arange(max_degree + 1, dtype=x.dtype) + 1)
+    return table * scale[:, None]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_legendre_table_rows_are_exact_and_independent_of_length(dtype):
+    x = np.random.default_rng(3).random(257).astype(dtype)
+    long = orthopoly.legendre_table(90, x)
+    for degree in (0, 1, 2, 17, 90):
+        short = orthopoly.legendre_table(degree, x)
+        assert short.dtype == dtype
+        assert np.array_equal(short, long[: degree + 1])
+        assert np.array_equal(short, _reference_table(degree, x))
+
+
 def test_legendre_orthonormality_under_gauss_rule():
     rule = orthopoly.gauss_legendre_rule(32)
     table = orthopoly.legendre_table(20, rule.nodes)
@@ -109,6 +133,17 @@ def test_hp_rule_structure():
     assert rule.size == 11 * 4
     assert np.all(np.diff(rule.nodes) > 0)
     assert abs(rule.weights.sum() - 1.0) < 1e-14
+
+
+@pytest.mark.parametrize("levels, order", [(1, 1), (10, 4), (40, 10), (40, 212)])
+def test_hp_rule_equals_cell_by_cell_construction(levels, order):
+    rule = orthopoly.hp_log_quadrature(levels, order)
+    base = orthopoly.gauss_legendre_rule(order)
+    edges = np.concatenate(([0.0], np.ldexp(1.0, -np.arange(levels, -1, -1))))
+    nodes = [a + (b - a) * base.nodes for a, b in zip(edges[:-1], edges[1:])]
+    weights = [(b - a) * base.weights for a, b in zip(edges[:-1], edges[1:])]
+    assert np.array_equal(rule.nodes, np.concatenate(nodes))
+    assert np.array_equal(rule.weights, np.concatenate(weights))
 
 
 def test_hp_rule_polynomial_exactness():
