@@ -68,6 +68,10 @@ def _parse_int_range(text: str) -> List[int]:
         raise ConfigError(f"expected an integer or start:step:stop range, got {text!r}") from None
     if step <= 0 or stop < start:
         raise ConfigError(f"empty or descending range {text!r}")
+    # every value is a dimension of some system, so none may exceed the cap;
+    # checked before the list is built, which would not fit in memory
+    if stop - (stop - start) % step > MAX_SYSTEM_VALUES:
+        raise ConfigError(f"range {text!r} goes beyond the cap of {MAX_SYSTEM_VALUES} values")
     return list(range(start, stop + 1, step))
 
 

@@ -39,6 +39,58 @@ cutoff's kappa reads the first r.  With D = diag(d_j),
 At full rank kappa = 1/sqrt(A'_{M,N}) exactly.  At Legendre points with
 N = M = 10 (cond(G) = 7e7) dividing by the singular values puts kappa
 2.9e-9 above 1/sqrt(A'); the Rayleigh quotients bring it within 5e-10.
+
+stable_sampling_rate asks at each grid step only whether
+max(kappa, lambda) <= theta, and most steps fail.  One vector can prove a
+failure without an SVD.  The regularized operator splits every
+coefficient vector as T z = T G_eps^+ G z + T (I - G_eps^+ G) z
+(Adcock & Huybrechs, arXiv 1802.01950); in terms of R that is
+z = V_r V_r* z + V_d V_d* z, and since ||Sigma_r V_r* z|| <= ||G z||,
+
+    ||R z|| <= kappa ||G z|| + eps lambda ||z||
+            <= max(kappa, lambda) (||G z|| + eps ||z||).
+
+So a z with ||R z|| > theta (||G z|| + eps ||z||) proves max(kappa,
+lambda) > theta.  The witnesses are the last kept and the first discarded
+right singular vectors of the last step evaluated in full, the directions
+that carry kappa and lambda there.  Each later step assembles only G and
+fails without an SVD when, for some witness z,
+
+    ||R z|| > theta (1 + delta) (||G z|| + eps ||z||);
+
+otherwise it takes the full route: the SVD, kappa, and lambda if kappa
+passes.  The margin delta makes the test imply that the full route, in
+floating point, would fail the step too, so M_theta is unchanged by
+construction.  With u = 2^-52, numpy's machine epsilon, and
+
+    x = (M + N) sqrt(N) u (1 + (||G||_F + ||R||_F) / eps),
+
+each rounding error in play moves the comparison by at most a factor
+1 + x to first order.  Each is a relative error of at most x, or an
+absolute one of at most x eps ||z||, which is relative x since eps ||z||
+is at most the right-hand side; an absolute error of x in kappa or
+lambda is a relative one of at most x at the threshold, since theta > 1.
+The SVD is taken as exact for G + E with ||E|| <= (M + N) sqrt(N) u
+||G||_F and singular vectors orthonormal to that level (LAPACK bounds
+both by p(M, N) u ||G|| with p modest).  The factors are
+
+- the backward error E, which enlarges ||G z|| by ||E|| ||z||: 1 factor;
+- the computed V not quite orthonormal, which moves the splitting: 1;
+- the Rayleigh quotients, within about ||E|| + (M + N) u ||G||_F of the
+  singular values of G + E, that is within a relative x of those above
+  eps, counting U, V and the M-term products of U* G: 3;
+- the rounding of R V_r D^-1 (at most N u ||R||_F sqrt(N) / eps) and of
+  its 2-norm, or of R V_d and its 2-norm for lambda: 2;
+- the rounding of R z, G z and their norms, and of eps ||z|| and the sum
+  it enters: 5.
+
+That is 12 factors, and 1 + delta = (1 + x)^16 leaves room for their
+second-order terms.  Where x is not small the first-order count no
+longer holds, but delta then grows so fast that the test seldom fires.
+At Legendre points with K = 5, delta is 1.6e-2 at eps = 1e-8, N = 60,
+M = 270 and 8e-5 at eps = 1e-5, N = 200, M = 360.  At eps = 1e-14 and
+N = 12 it exceeds 1e30, far above ||R z|| / (eps ||z||) <= ||R|| / eps,
+so no step is ruled out there.
 """
 
 from __future__ import annotations
@@ -51,7 +103,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .frames import FrameSpec
-from .gram import GramFactor, GramSystem, build_gram_factor, build_system
+from .gram import GramFactor, GramSystem, _system_matrix, build_gram_factor, build_system
 from .sampling import (
     SamplingScheme, SchemeFamily, SchemeKind, _check_factor, richness_estimate,
 )
@@ -66,6 +118,11 @@ __all__ = [
 ]
 
 
+def _check_epsilon(epsilon: float) -> None:
+    if not 0 < epsilon < math.inf:  # also rejects nan
+        raise ValueError("epsilon must be finite and > 0")
+
+
 def compute_kappa(system: GramSystem, factor: GramFactor, epsilon: float) -> float:
     """Largest continuous norm of the regularized fit over unit data vectors.
 
@@ -73,8 +130,7 @@ def compute_kappa(system: GramSystem, factor: GramFactor, epsilon: float) -> flo
     of the SVD's sigma_j, whose absolute error of about u ||G|| would reach
     kappa as a relative error of u ||G|| / sigma_j.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be > 0")
+    _check_epsilon(epsilon)
     _check_factor(system, factor)
     r = system.kept_rank(epsilon)
     if r == 0:
@@ -85,8 +141,7 @@ def compute_kappa(system: GramSystem, factor: GramFactor, epsilon: float) -> flo
 
 def compute_lambda(system: GramSystem, factor: GramFactor, epsilon: float) -> float:
     """Scaled continuous norm of the discarded singular directions."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be > 0")
+    _check_epsilon(epsilon)
     _check_factor(system, factor)
     r = system.kept_rank(epsilon)
     if r == system.N:
@@ -173,6 +228,7 @@ def stable_sampling_rate(
     """
     if not theta > 1.0:  # also rejects nan
         raise ValueError("theta must be > 1")
+    _check_epsilon(epsilon)
     N = frame.N
     if M_max is None:
         M_max = 64 * N
@@ -184,14 +240,38 @@ def stable_sampling_rate(
         raise ValueError(f"M_max must be at least frame.N = {N}, got {M_max}")
 
     factor = build_gram_factor(frame)
+    witnesses = None
     for M in range(N, M_max + 1, stride):
-        system = build_system(frame, scheme_family.realize(M))
+        scheme = scheme_family.realize(M)
+        matrix = _system_matrix(frame, scheme)
+        if witnesses is not None and _witness_fails(matrix, factor, witnesses, theta, epsilon):
+            continue
+        system = GramSystem.from_matrix(matrix, frame=frame, scheme=scheme)
         # lambda cannot rescue a step that kappa alone fails, so it is
         # only computed when kappa passes
         if (compute_kappa(system, factor, epsilon) <= theta
                 and compute_lambda(system, factor, epsilon) <= theta):
             return M
+        r = system.kept_rank(epsilon)
+        witnesses = system.Vt[max(r - 1, 0):r + 1].T
     return None
+
+
+def _witness_fails(
+    G: np.ndarray, factor: GramFactor, Z: np.ndarray, theta: float, epsilon: float
+) -> bool:
+    """True when a column z of Z has ||R z|| > theta (1 + delta)(||G z|| + eps ||z||).
+
+    Such a z proves max(kappa, lambda) > theta for the system G, with the
+    margin delta of the module docstring.
+    """
+    M, N = G.shape
+    R = factor.R
+    x = ((M + N) * math.sqrt(N) * np.finfo(float).eps
+         * (1.0 + (np.linalg.norm(G) + np.linalg.norm(R)) / epsilon))
+    lhs = np.linalg.norm(R @ Z, axis=0)
+    rhs = np.linalg.norm(G @ Z, axis=0) + epsilon * np.linalg.norm(Z, axis=0)
+    return bool(np.any(lhs > theta * (1.0 + x) ** 16 * rhs))
 
 
 def constants_sweep(

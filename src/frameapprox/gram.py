@@ -125,16 +125,19 @@ def _assemble_inner_product_matrix(frame: FrameSpec, M: int, rule: QuadratureRul
     return G
 
 
+def _system_matrix(frame: FrameSpec, scheme: SamplingScheme) -> np.ndarray:
+    """The M x N sampled matrix: entry (m, j) is functional m applied to element j."""
+    if scheme.kind is SchemeKind.WEIGHTED_POINT_VALUES:
+        return scheme.scales[:, None] * element_matrix(frame, scheme.nodes).T
+    return _assemble_inner_product_matrix(frame, scheme.M, scheme.rule)
+
+
 def build_system(frame: FrameSpec, scheme: SamplingScheme) -> GramSystem:
     """Sample every frame element, returning the M x N system with its SVD.
 
     Entry (m, j) is the m-th sampling functional applied to frame element j.
     """
-    if scheme.kind is SchemeKind.WEIGHTED_POINT_VALUES:
-        matrix = scheme.scales[:, None] * element_matrix(frame, scheme.nodes).T
-    else:
-        matrix = _assemble_inner_product_matrix(frame, scheme.M, scheme.rule)
-    return GramSystem.from_matrix(matrix, frame=frame, scheme=scheme)
+    return GramSystem.from_matrix(_system_matrix(frame, scheme), frame=frame, scheme=scheme)
 
 
 def build_gram_factor(frame: FrameSpec) -> GramFactor:

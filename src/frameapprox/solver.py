@@ -14,6 +14,7 @@ lambda ||z|| when the data are basis coefficients.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Optional, Union
@@ -80,8 +81,8 @@ def truncated_svd_solve(
     epsilon: float,
 ) -> RegularizedSolution:
     """Solve min ||G x - y|| keeping only singular values above epsilon."""
-    if epsilon < 0:
-        raise ValueError("epsilon must be >= 0")
+    if not 0 <= epsilon < math.inf:  # also rejects nan
+        raise ValueError("epsilon must be finite and >= 0")
     values = y.values if isinstance(y, DataVector) else np.asarray(y, dtype=float)
     if values.shape != (system.M,):
         raise ValueError("data length must equal system row count")

@@ -151,6 +151,10 @@ def test_invalid_configurations_exit_one(argv, tmp_path, capsys):
     ["oversampling", "--N", "5", "--M", "1" + "0" * 400],  # no float holds this M
     ["single_approx", "--N", "5", "--M", "100000000000"],
     ["ssr", "--N", "20000"],
+    # ranges whose list alone would not fit in memory
+    ["oversampling", "--N", "5", "--M", "1:1:100000000000"],
+    ["pointwise_error", "--N", "5:5:100000000000"],
+    ["constants", "--N", "5:1:" + "1" + "0" * 400],
 ])
 def test_oversized_systems_exit_one_before_computing(argv, tmp_path, capsys, monkeypatch):
     def refuse(*args, **kwargs):

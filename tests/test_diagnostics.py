@@ -39,6 +39,16 @@ def test_constants_input_validation():
                 constant(system, other, 1e-5)
 
 
+@pytest.mark.parametrize("eps", [0.0, -1e-5, float("nan"), float("inf")])
+def test_constants_reject_a_nonpositive_or_nonfinite_epsilon(eps):
+    frame, factor, system = _cell(6, 1, sampling.legendre_point_scheme(12))
+    for constant in (diagnostics.compute_kappa, diagnostics.compute_lambda):
+        with pytest.raises(ValueError, match="epsilon"):
+            constant(system, factor, eps)
+    with pytest.raises(ValueError, match="epsilon"):
+        diagnostics.stable_sampling_rate(frame, sampling.legendre_points(), 2.0, eps)
+
+
 def test_factor_of_another_weight_is_rejected():
     # the two frames differ only in their weight callable
     frame = frames.onb_plus_k(10, 2)
@@ -241,6 +251,53 @@ def test_ssr_respects_stride_grid():
         frame, sampling.legendre_points(), 2.0, 1e-5, stride=7)
     assert found is not None
     assert (found - 20) % 7 == 0
+
+
+def _full_scan(frame, scheme_family, theta, epsilon, M_max):
+    # every grid step through build_system, kappa and lambda, with no witness test
+    factor = gram.build_gram_factor(frame)
+    for M in range(frame.N, M_max + 1, max(1, frame.N // 20)):
+        system = gram.build_system(frame, scheme_family.realize(M))
+        if (diagnostics.compute_kappa(system, factor, epsilon) <= theta
+                and diagnostics.compute_lambda(system, factor, epsilon) <= theta):
+            return M
+    return None
+
+
+@pytest.mark.parametrize("scheme_family", [
+    sampling.chebyshev_points(),
+    sampling.chebyshev_points(weighted=True),
+    sampling.legendre_points(),
+    sampling.equispaced_points(),
+    sampling.inner_products(),
+], ids=["chebyshev", "chebyshev-weighted", "legendre", "equispaced", "inner"])
+def test_ssr_matches_the_full_scan(scheme_family):
+    for N in (6, 12):
+        for K in (0, 1, 5):
+            frame = frames.onb_plus_k(N, K) if K else frames.legendre_onb(N)
+            for eps in (1e-3, 1e-8, 1e-14):
+                for theta in (1.2, 2.0, 8.0):
+                    expected = _full_scan(frame, scheme_family, theta, eps, 8 * N)
+                    found = diagnostics.stable_sampling_rate(
+                        frame, scheme_family, theta, eps, M_max=8 * N)
+                    assert found == expected, (N, K, eps, theta)
+
+
+def test_ssr_skips_most_svds_of_failing_steps(monkeypatch):
+    # 66 grid steps (M = 40, 42, ..., 170); the witnesses rule out most of them
+    calls = []
+    from_matrix = gram.GramSystem.from_matrix.__func__
+
+    def counting(cls, matrix, *args, **kwargs):
+        calls.append(matrix.shape[0])
+        return from_matrix(cls, matrix, *args, **kwargs)
+
+    monkeypatch.setattr(gram.GramSystem, "from_matrix", classmethod(counting))
+    frame = frames.onb_plus_k(40, 5)
+    assert diagnostics.stable_sampling_rate(
+        frame, sampling.legendre_points(), 2.0, 1e-8) == 170
+    assert calls[0] == 40 and calls[-1] == 170
+    assert len(calls) < 66 / 2
 
 
 def test_ssr_rejects_theta_at_or_below_one():

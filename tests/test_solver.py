@@ -40,6 +40,13 @@ def test_negative_epsilon_rejected():
         solver.truncated_svd_solve(_diag_system([1.0]), np.ones(1), epsilon=-1e-3)
 
 
+@pytest.mark.parametrize("eps", [float("nan"), float("inf")])
+def test_nonfinite_epsilon_rejected(eps):
+    # nan would compare False against every singular value and keep nothing
+    with pytest.raises(ValueError, match="epsilon"):
+        solver.truncated_svd_solve(_diag_system([1.0]), np.ones(1), epsilon=eps)
+
+
 def test_matches_least_squares_when_nothing_truncated():
     rng = np.random.default_rng(7)
     A = rng.standard_normal((12, 5)) + 3 * np.eye(12, 5)
