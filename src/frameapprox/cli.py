@@ -53,14 +53,19 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _parse_int_range(text: str) -> List[int]:
-    """Parse '40' or an inclusive 'start:step:stop' range like '5:5:60'."""
+def _parse_int_range(text: str) -> range:
+    """Parse '40' or an inclusive 'start:step:stop' range like '5:5:60'.
+
+    The range is never expanded into a list: the runners check its largest
+    value against the system size cap, then iterate it.
+    """
     text = text.strip()
     parts = text.split(":")
     try:
         if len(parts) == 1:
-            return [int(parts[0])]
-        if len(parts) == 3:
+            start = stop = int(parts[0])
+            step = 1
+        elif len(parts) == 3:
             start, step, stop = (int(p) for p in parts)
         else:
             raise ValueError
@@ -69,10 +74,10 @@ def _parse_int_range(text: str) -> List[int]:
     if step <= 0 or stop < start:
         raise ConfigError(f"empty or descending range {text!r}")
     # every value is a dimension of some system, so none may exceed the cap;
-    # checked before the list is built, which would not fit in memory
+    # this also keeps the range's length within a machine integer
     if stop - (stop - start) % step > MAX_SYSTEM_VALUES:
-        raise ConfigError(f"range {text!r} goes beyond the cap of {MAX_SYSTEM_VALUES} values")
-    return list(range(start, stop + 1, step))
+        raise ConfigError(f"sweep {text!r} goes beyond the cap of {MAX_SYSTEM_VALUES} values")
+    return range(start, stop + 1, step)
 
 
 def _parse_float_list(text: str, name: str) -> List[float]:
@@ -114,15 +119,19 @@ def _parse_m_rule(text: str) -> Callable[[int], int]:
 
 @dataclass
 class ExperimentConfig:
-    """Resolved settings for one experiment run."""
+    """Resolved settings for one experiment run.
+
+    N_values and M_values are ascending ranges, which the runners check by
+    their ends and iterate without expanding.
+    """
 
     experiment: str
     frame: str = "onbk"
     K: int = 1
     normalize_psi: Optional[bool] = None
     nodes: str = "chebyshev"
-    N_values: List[int] = field(default_factory=list)
-    M_values: List[int] = field(default_factory=list)
+    N_values: range = range(0)
+    M_values: range = range(0)
     M_rule: str = "2N"
     gammas: List[float] = field(default_factory=lambda: [2.0])
     epsilons: List[float] = field(default_factory=lambda: [1e-13])
@@ -251,8 +260,8 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
         K=K,
         normalize_psi=normalize,
         nodes=_get("nodes", "chebyshev"),
-        N_values=_parse_int_range(_get("N")) if _get("N") is not None else [],
-        M_values=_parse_int_range(_get("M")) if _get("M") is not None else [],
+        N_values=_parse_int_range(_get("N")) if _get("N") is not None else range(0),
+        M_values=_parse_int_range(_get("M")) if _get("M") is not None else range(0),
         M_rule=_get("M_rule", "2N"),
         gammas=_parse_float_list(_get("gammas"), "gamma") if _get("gammas") is not None else [2.0],
         epsilons=_parse_float_list(_get("eps"), "epsilon") if _get("eps") is not None else [1e-13],
@@ -288,13 +297,13 @@ def _check_writable(path: Path) -> None:
         raise ConfigError(f"cannot write {path}: directory {directory} is not writable")
 
 
-def _require_sweep(values: List[int], name: str) -> List[int]:
+def _require_sweep(values: range, name: str) -> int:
+    """The largest value of a nonempty ascending sweep of positive values."""
     if not values:
         raise ConfigError(f"experiment requires a {name} sweep (use --{name})")
-    for v in values:
-        if v < 1:
-            raise ConfigError(f"{name} values must be positive, got {v}")
-    return values
+    if values[0] < 1:
+        raise ConfigError(f"{name} values must be positive, got {values[0]}")
+    return values[-1]
 
 
 def _single_epsilon(cfg: ExperimentConfig) -> float:
@@ -306,13 +315,14 @@ def _single_epsilon(cfg: ExperimentConfig) -> float:
 
 def run_pointwise_error(cfg: ExperimentConfig) -> Path:
     """Pointwise error at probe points along an N sweep with M tied to N."""
-    Ns = _require_sweep(cfg.N_values, "N")
+    Ns = cfg.N_values
     rule = _parse_m_rule(cfg.M_rule)
-    Ms = [rule(N) for N in Ns]
+    rule(_require_sweep(Ns, "N"))  # M x N grows with N, so this checks every system
     eps = _single_epsilon(cfg)
     family = cfg.scheme_family()
     rows = []
-    for N, M in zip(Ns, Ms):
+    for N in Ns:
+        M = rule(N)
         frame = cfg.frame_for(N)
         approx = solver.approximate(frames.target_function, frame, family, M=M, epsilon=eps)
         report = solver.error_report(approx, frames.target_function, cfg.probes)
@@ -325,13 +335,12 @@ def run_pointwise_error(cfg: ExperimentConfig) -> Path:
 
 def run_oversampling(cfg: ExperimentConfig) -> Path:
     """Error against M at fixed N; exposes the oversampling plateau."""
-    Ns = _require_sweep(cfg.N_values, "N")
+    Ns, Ms = cfg.N_values, cfg.M_values
+    _require_sweep(Ns, "N")
     if len(Ns) != 1:
         raise ConfigError("oversampling takes a single N")
-    Ms = _require_sweep(cfg.M_values, "M")
     N = Ns[0]
-    for M in Ms:
-        _system_rows(M, N)
+    _system_rows(_require_sweep(Ms, "M"), N)
     eps = _single_epsilon(cfg)
     frame = cfg.frame_for(N)
     family = cfg.scheme_family()
@@ -347,12 +356,12 @@ def run_oversampling(cfg: ExperimentConfig) -> Path:
 
 def run_constants(cfg: ExperimentConfig) -> Path:
     """Stability constants over a (gamma, N, epsilon) grid."""
-    Ns = _require_sweep(cfg.N_values, "N")
+    Ns = cfg.N_values
+    N_max = _require_sweep(Ns, "N")
     for gamma in cfg.gammas:
         if not 1 <= gamma < math.inf:
             raise ConfigError(f"gamma must be finite and at least 1, got {gamma}")
-        for N in Ns:
-            _system_rows(gamma * N, N)
+        _system_rows(gamma * N_max, N_max)
     sweep = diagnostics.constants_sweep(
         cfg.frame_for, cfg.scheme_family(), cfg.gammas, Ns, cfg.epsilons,
         workers=cfg.workers,
@@ -368,9 +377,9 @@ def run_constants(cfg: ExperimentConfig) -> Path:
 
 def run_ssr(cfg: ExperimentConfig) -> Path:
     """Stable sampling rate along an N sweep; -1 marks an unreachable target."""
-    Ns = _require_sweep(cfg.N_values, "N")
-    for N in Ns:
-        _system_rows(N, N)  # the first and smallest system of the search
+    Ns = cfg.N_values
+    N_max = _require_sweep(Ns, "N")
+    _system_rows(N_max, N_max)  # the first and smallest system of the largest search
     family = cfg.scheme_family()
     rows = []
     for N in Ns:
@@ -385,8 +394,9 @@ def run_ssr(cfg: ExperimentConfig) -> Path:
 
 def run_single_approx(cfg: ExperimentConfig) -> Path:
     """One approximation at fixed N and M; per-probe errors to CSV."""
-    Ns = _require_sweep(cfg.N_values, "N")
-    Ms = _require_sweep(cfg.M_values, "M")
+    Ns, Ms = cfg.N_values, cfg.M_values
+    _require_sweep(Ns, "N")
+    _require_sweep(Ms, "M")
     if len(Ns) != 1 or len(Ms) != 1:
         raise ConfigError("single_approx takes a single N and a single M")
     N, M = Ns[0], _system_rows(Ms[0], Ns[0])

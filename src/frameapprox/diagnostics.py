@@ -96,7 +96,6 @@ so no step is ruled out there.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -136,7 +135,8 @@ def compute_kappa(system: GramSystem, factor: GramFactor, epsilon: float) -> flo
     if r == 0:
         return 0.0
     X = factor.R @ (system.Vt[:r].T / system.rayleigh_quotients[:r])
-    return float(np.linalg.norm(X, 2))
+    # the largest singular value, equal to np.linalg.norm(X, 2) to the bit
+    return float(np.linalg.svd(X, compute_uv=False)[0])
 
 
 def compute_lambda(system: GramSystem, factor: GramFactor, epsilon: float) -> float:
@@ -147,7 +147,7 @@ def compute_lambda(system: GramSystem, factor: GramFactor, epsilon: float) -> fl
     if r == system.N:
         return 0.0
     X = factor.R @ system.Vt[r:].T
-    return float(np.linalg.norm(X, 2)) / epsilon
+    return float(np.linalg.svd(X, compute_uv=False)[0]) / epsilon
 
 
 @dataclass
@@ -240,11 +240,12 @@ def stable_sampling_rate(
         raise ValueError(f"M_max must be at least frame.N = {N}, got {M_max}")
 
     factor = build_gram_factor(frame)
+    R_norm = np.linalg.norm(factor.R)
     witnesses = None
     for M in range(N, M_max + 1, stride):
         scheme = scheme_family.realize(M)
         matrix = _system_matrix(frame, scheme)
-        if witnesses is not None and _witness_fails(matrix, factor, witnesses, theta, epsilon):
+        if witnesses is not None and _witness_fails(matrix, R_norm, witnesses, theta, epsilon):
             continue
         system = GramSystem.from_matrix(matrix, frame=frame, scheme=scheme)
         # lambda cannot rescue a step that kappa alone fails, so it is
@@ -253,25 +254,28 @@ def stable_sampling_rate(
                 and compute_lambda(system, factor, epsilon) <= theta):
             return M
         r = system.kept_rank(epsilon)
-        witnesses = system.Vt[max(r - 1, 0):r + 1].T
+        Z = system.Vt[max(r - 1, 0):r + 1].T
+        # ||R z|| and eps ||z|| hold until the witnesses are refreshed
+        witnesses = Z, np.linalg.norm(factor.R @ Z, axis=0), epsilon * np.linalg.norm(Z, axis=0)
     return None
 
 
 def _witness_fails(
-    G: np.ndarray, factor: GramFactor, Z: np.ndarray, theta: float, epsilon: float
+    G: np.ndarray, R_norm: float, witnesses: Tuple[np.ndarray, np.ndarray, np.ndarray],
+    theta: float, epsilon: float,
 ) -> bool:
-    """True when a column z of Z has ||R z|| > theta (1 + delta)(||G z|| + eps ||z||).
+    """True when a witness z has ||R z|| > theta (1 + delta)(||G z|| + eps ||z||).
 
     Such a z proves max(kappa, lambda) > theta for the system G, with the
-    margin delta of the module docstring.
+    margin delta of the module docstring.  R_norm is ||R||_F; witnesses
+    holds the z as columns of Z with their ||R z|| and eps ||z||.
     """
+    Z, R_norms, eps_norms = witnesses
     M, N = G.shape
-    R = factor.R
     x = ((M + N) * math.sqrt(N) * np.finfo(float).eps
-         * (1.0 + (np.linalg.norm(G) + np.linalg.norm(R)) / epsilon))
-    lhs = np.linalg.norm(R @ Z, axis=0)
-    rhs = np.linalg.norm(G @ Z, axis=0) + epsilon * np.linalg.norm(Z, axis=0)
-    return bool(np.any(lhs > theta * (1.0 + x) ** 16 * rhs))
+         * (1.0 + (np.linalg.norm(G) + R_norm) / epsilon))
+    rhs = np.linalg.norm(G @ Z, axis=0) + eps_norms
+    return bool(np.any(R_norms > theta * (1.0 + x) ** 16 * rhs))
 
 
 def constants_sweep(
@@ -298,6 +302,10 @@ def constants_sweep(
 
     cells = [(gamma, N) for gamma in gammas for N in Ns]
     if workers > 1:
+        # imported here: concurrent.futures loads logging, which every
+        # other caller would pay for at import
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(cell, cells))
     else:

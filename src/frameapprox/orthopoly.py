@@ -54,6 +54,10 @@ class QuadratureRule:
         return float(self.weights @ vals)
 
 
+# values per block of recurrence coefficients (2n + 1) t (128 KiB of doubles)
+_COEFFICIENT_BLOCK_VALUES = 2**14
+
+
 def _as_nodes(x) -> np.ndarray:
     """x as a 1-d array of evaluation points: long double stays, anything else is double."""
     x = np.atleast_1d(np.asarray(x))
@@ -72,7 +76,13 @@ def legendre_table(max_degree: int, x) -> np.ndarray:
     The three-term recurrence runs in place on the rows of the table with
     one scratch row, in the operation order
     ((2n + 1) t P_n - n P_{n-1}) / (n + 1); the sqrt(2n + 1) scale is
-    applied afterwards.
+    applied afterwards.  At the few hundred nodes of a sampled system the
+    recurrence is bound by numpy's cost per call, so each degree makes four
+    calls: the rows (2n + 1) t come from one call per block of at most
+    _COEFFICIENT_BLOCK_VALUES values, and n and n + 1 enter as 0-d arrays
+    of the table's dtype, which numpy takes faster than Python integers.
+    Every value is rounded as in the plain loop, so the table is the same
+    to the bit.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
@@ -82,17 +92,24 @@ def legendre_table(max_degree: int, x) -> np.ndarray:
     table[0] = 1.0
     if max_degree >= 1:
         table[1] = t
+    n = np.arange(max_degree + 1, dtype=x.dtype)
+    odd = 2 * n + 1
+    rows = list(table)
+    scalars = [n[k, ...] for k in range(max_degree + 1)]
+    step = max(1, _COEFFICIENT_BLOCK_VALUES // max(x.size, 1))
+    coefficients = np.empty((min(step, max_degree), x.size), dtype=x.dtype)
     scratch = np.empty_like(t)
-    for n in range(1, max_degree):
-        # three-term recurrence for P_{n+1} in the unnormalized convention
-        row = table[n + 1]
-        np.multiply(t, 2 * n + 1, out=row)
-        np.multiply(row, table[n], out=row)
-        np.multiply(table[n - 1], n, out=scratch)
-        np.subtract(row, scratch, out=row)
-        np.divide(row, n + 1, out=row)
-    scale = np.sqrt(2 * np.arange(max_degree + 1, dtype=x.dtype) + 1)
-    return table * scale[:, None]
+    for start in range(1, max_degree, step):
+        block = coefficients[: min(step, max_degree - start)]
+        np.multiply(odd[start:start + len(block), None], t, block)
+        for k, coefficient in enumerate(block, start):
+            # three-term recurrence for P_{k+1} in the unnormalized convention
+            row = rows[k + 1]
+            np.multiply(coefficient, rows[k], row)
+            np.multiply(rows[k - 1], scalars[k], scratch)
+            np.subtract(row, scratch, row)
+            np.divide(row, scalars[k + 1], row)
+    return table * np.sqrt(odd)[:, None]
 
 
 def legendre_shifted(n: int, x):

@@ -17,9 +17,9 @@ import numpy as np
 
 from .orthopoly import (
     QuadratureRule,
+    _gauss_legendre_cached,
     chebyshev_nodes,
     equispaced_nodes,
-    gauss_legendre_rule,
     hp_log_quadrature,
     legendre_table,
 )
@@ -110,13 +110,19 @@ def inner_product_scheme(M: int) -> SamplingScheme:
 
 
 def legendre_point_scheme(M: int) -> SamplingScheme:
-    """Gauss-Legendre points with square-root weight scaling."""
-    rule = gauss_legendre_rule(M)
+    """Gauss-Legendre points with square-root weight scaling.
+
+    The nodes are the read-only arrays cached by the rule, shared between
+    schemes of the same M.
+    """
+    if M < 1:
+        raise ValueError("M must be >= 1")
+    nodes, weights = _gauss_legendre_cached(M)
     return SamplingScheme(
         kind=SchemeKind.WEIGHTED_POINT_VALUES,
         M=M,
-        nodes=rule.nodes,
-        scales=np.sqrt(rule.weights),
+        nodes=nodes,
+        scales=np.sqrt(weights),
     )
 
 

@@ -1,6 +1,9 @@
 """Experiment driver: flags, file formats, exit codes, determinism."""
 
 import argparse
+import dataclasses
+import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -155,18 +158,43 @@ def test_invalid_configurations_exit_one(argv, tmp_path, capsys):
     ["oversampling", "--N", "5", "--M", "1:1:100000000000"],
     ["pointwise_error", "--N", "5:5:100000000000"],
     ["constants", "--N", "5:1:" + "1" + "0" * 400],
+    # 2^27 values, each within the cap alone: too long to expand, too big at N = 5
+    ["oversampling", "--N", "5", "--M", "1:1:134217728"],
+    # single values too large for a float
+    ["pointwise_error", "--N", "1" + "0" * 400],
+    ["constants", "--N", "1" + "0" * 400],
 ])
-def test_oversized_systems_exit_one_before_computing(argv, tmp_path, capsys, monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("computed before the system size was checked")
+def test_oversized_systems_exit_one_before_computing(argv, tmp_path):
+    # in a child limited to 1.5 GB of address space, so that a sweep expanded
+    # into a list fails there with a MemoryError
+    proc = subprocess.run(
+        [sys.executable, "-c", _REFUSE_TO_COMPUTE, *argv, "--out", str(tmp_path / "x.csv")],
+        capture_output=True, text=True, preexec_fn=_limit_address_space,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},  # one BLAS buffer, whatever the cores
+    )
+    assert proc.returncode == 1, proc.stderr
+    err = proc.stderr
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert f"cap of {cli.MAX_SYSTEM_VALUES} values" in err
 
-    for owner, name in ((cli.solver, "approximate"), (cli.diagnostics, "constants_sweep"),
-                        (cli.diagnostics, "stable_sampling_rate")):
-        monkeypatch.setattr(owner, name, refuse)
-    code = cli.main(argv + ["--out", str(tmp_path / "x.csv")])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and f"cap of {cli.MAX_SYSTEM_VALUES} values" in err
+
+_REFUSE_TO_COMPUTE = """
+import sys
+from frameapprox import cli
+
+def refuse(*args, **kwargs):
+    raise AssertionError("computed before the system size was checked")
+
+for owner, name in ((cli.solver, "approximate"), (cli.diagnostics, "constants_sweep"),
+                    (cli.diagnostics, "stable_sampling_rate")):
+    setattr(owner, name, refuse)
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def _limit_address_space():
+    limit = 1536 * 2**20
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
 def test_second_main_call_builds_no_parser(tmp_path, monkeypatch):
@@ -189,29 +217,30 @@ def test_second_main_call_builds_no_parser(tmp_path, monkeypatch):
     (["pointwise_error", "--frame", "onbk", "--K", "5", "--nodes", "chebyshev",
       "--M-rule", "1.5N", "--N", "5:5:20", "--eps", "2e-13", "--probes", "0.2,0.5,0.9",
       "--out", "pe.csv"],
-     cli.ExperimentConfig("pointwise_error", K=5, N_values=[5, 10, 15, 20], M_rule="1.5N",
+     cli.ExperimentConfig("pointwise_error", K=5, N_values=range(5, 21, 5), M_rule="1.5N",
                           epsilons=[2e-13], probes=[0.2, 0.5, 0.9], out=Path("pe.csv"))),
     (["oversampling", "--K", "2", "--normalize-psi", "off", "--N", "46",
       "--nodes", "legendre", "--M", "40:40:200", "--seed", "3"],
      cli.ExperimentConfig("oversampling", K=2, normalize_psi=False, nodes="legendre",
-                          N_values=[46], M_values=[40, 80, 120, 160, 200], seed=3)),
+                          N_values=range(46, 47), M_values=range(40, 201, 40), seed=3)),
     (["constants", "--K", "5", "--eps", "1e-5,1e-8", "--gammas", "1,1.5,2,3",
       "--nodes", "equispaced", "--N", "5:5:20", "--workers", "2"],
-     cli.ExperimentConfig("constants", K=5, nodes="equispaced", N_values=[5, 10, 15, 20],
+     cli.ExperimentConfig("constants", K=5, nodes="equispaced", N_values=range(5, 21, 5),
                           gammas=[1.0, 1.5, 2.0, 3.0], epsilons=[1e-5, 1e-8], workers=2)),
     (["ssr", "--K", "1", "--nodes", "inner", "--theta", "2.5", "--N", "5:5:15",
       "--eps", "1e-5"],
-     cli.ExperimentConfig("ssr", nodes="inner", N_values=[5, 10, 15], epsilons=[1e-5],
+     cli.ExperimentConfig("ssr", nodes="inner", N_values=range(5, 16, 5), epsilons=[1e-5],
                           theta=2.5)),
     (["single_approx", "--frame", "onb", "--K", "0", "--N", "20", "--M", "40",
       "--nodes", "chebyshev-weighted", "--eps", "2e-13"],
      cli.ExperimentConfig("single_approx", frame="onb", K=0, nodes="chebyshev-weighted",
-                          N_values=[20], M_values=[40], epsilons=[2e-13])),
+                          N_values=range(20, 21), M_values=range(40, 41), epsilons=[2e-13])),
     (["selftest", "--seed", "7"], cli.ExperimentConfig("selftest", seed=7)),
 ])
 def test_parsed_configuration(argv, expected, monkeypatch):
     monkeypatch.delenv("FRAMEAPPROX_THREADS", raising=False)
-    assert cli._build_config(cli._PARSER.parse_args(argv)) == expected
+    cfg = cli._build_config(cli._PARSER.parse_args(argv))
+    assert cfg == expected
 
 
 def test_options_may_precede_the_experiment(tmp_path):
@@ -460,6 +489,14 @@ def test_import_loads_no_scipy():
     # scipy is imported on the first A' only, which keeps start-up short
     code = ("import sys, frameapprox, frameapprox.cli; "
             "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_import_loads_no_thread_pool():
+    # concurrent.futures, and the logging it loads, serve constants_sweep(workers > 1) only
+    code = ("import sys, frameapprox, frameapprox.cli; "
+            "assert 'concurrent.futures' not in sys.modules")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 

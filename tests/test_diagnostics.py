@@ -27,6 +27,19 @@ def test_lambda_vanishes_when_nothing_is_truncated():
     assert diagnostics.compute_lambda(system, factor, eps) == 0.0
 
 
+def test_constants_equal_the_norm_route_to_the_bit():
+    # the 2-norm is taken as the first singular value, as np.linalg.norm(X, 2) takes it
+    for N, K, M, eps in ((10, 5, 20, 1e-5), (30, 5, 75, 1e-13), (40, 5, 80, 1e-8)):
+        frame, factor, system = _cell(N, K, sampling.legendre_point_scheme(M))
+        r = system.kept_rank(eps)
+        kept = factor.R @ (system.Vt[:r].T / system.rayleigh_quotients[:r])
+        assert diagnostics.compute_kappa(system, factor, eps) == float(np.linalg.norm(kept, 2))
+        if r < N:
+            dropped = factor.R @ system.Vt[r:].T
+            assert (diagnostics.compute_lambda(system, factor, eps)
+                    == float(np.linalg.norm(dropped, 2)) / eps)
+
+
 def test_constants_input_validation():
     frame, factor, system = _cell(6, 1, sampling.legendre_point_scheme(12))
     with pytest.raises(ValueError):

@@ -121,6 +121,16 @@ def test_legendre_table_rows_are_exact_and_independent_of_length(dtype):
         assert np.array_equal(short, _reference_table(degree, x))
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+@pytest.mark.parametrize("size", [1, 3, 75, 1310])
+def test_legendre_table_equals_the_plain_recurrence_to_the_bit(dtype, size):
+    # 1310 nodes take several coefficient blocks up to degree 195
+    x = np.random.default_rng(size).random(size).astype(dtype)
+    table = orthopoly.legendre_table(195, x)
+    assert table.dtype == dtype
+    assert np.array_equal(table, _reference_table(195, x))
+
+
 def test_legendre_orthonormality_under_gauss_rule():
     rule = orthopoly.gauss_legendre_rule(32)
     table = orthopoly.legendre_table(20, rule.nodes)

@@ -21,6 +21,20 @@ def test_point_scheme_scales():
     assert np.allclose(cheb.scales, 1.0, atol=0)
 
 
+def test_legendre_point_scheme_shares_the_cached_rule():
+    for M in (1, 9, 75):
+        scheme = sampling.legendre_point_scheme(M)
+        rule = orthopoly.gauss_legendre_rule(M)
+        assert np.array_equal(scheme.nodes, rule.nodes)
+        assert np.array_equal(scheme.scales, np.sqrt(rule.weights))
+    with pytest.raises(ValueError):
+        scheme.nodes[0] = 0.5
+    # the rule hands out copies, so writing to them leaves the cache alone
+    rule.nodes[0] = 0.5
+    rule.weights[0] = 0.5
+    assert sampling.legendre_point_scheme(75).nodes[0] != 0.5
+
+
 def test_weighted_chebyshev_scales():
     M = 12
     scheme = sampling.chebyshev_point_scheme(M, weighted=True)
