@@ -1,0 +1,28 @@
+#!/usr/bin/env bash
+# Write every preset CSV, the selftest report and the extra CLI runs below
+# into the directory named by the one argument.  The presets are the
+# scripts/run_*.py of the working directory, run with the frameapprox that
+# python imports there (installed, or from PYTHONPATH).
+#
+#   bash .github/presets.sh OUT_DIR
+set -euo pipefail
+
+out="$1"
+mkdir -p "$out"
+for script in scripts/run_*.py; do
+  python "$script" "$out"
+done
+python -m frameapprox.cli selftest --seed 0 > "$out/selftest.txt"
+# no preset reaches a second node block of the quadrature assemblies
+python -m frameapprox.cli ssr --K 5 --nodes legendre --theta 2 --N 100:100:200 \
+  --eps 1e-5 --out "$out/ssr_node_blocks.csv"
+python -m frameapprox.cli constants --K 5 --nodes inner --N 60 --gammas 1,2 \
+  --eps 1e-5 --out "$out/constants_node_blocks.csv"
+# searches in which the witness test rules out most steps
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
+python -m frameapprox.cli ssr --K 5 --nodes equispaced --theta 2 --N 10 \
+  --eps 1e-5 --out "$tmp/equispaced.csv"
+python -m frameapprox.cli ssr --K 5 --nodes chebyshev-weighted --theta 2 --N 20:20:40 \
+  --eps 1e-8 --out "$tmp/chebyshev.csv"
+cat "$tmp/equispaced.csv" "$tmp/chebyshev.csv" > "$out/ssr_certified.csv"

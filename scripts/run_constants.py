@@ -15,7 +15,7 @@ out_dir = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(".")
 out_dir.mkdir(parents=True, exist_ok=True)
 
 common = ["--frame", "onbk", "--K", "5", "--N", "5:5:60",
-          "--gammas", "1,1.5,2,3", "--eps", "1e-5,1e-8", "--workers", "1"]
+          "--gammas", "1,1.5,2,3", "--eps", "1e-5,1e-8"]
 codes = [
     main(["constants", "--nodes", "legendre", *common,
           "--out", str(out_dir / "constants_legendre.csv")]),

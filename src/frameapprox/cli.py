@@ -139,7 +139,6 @@ class ExperimentConfig:
     probes: List[float] = field(default_factory=lambda: list(DEFAULT_PROBES))
     out: Optional[Path] = None
     seed: int = 0
-    workers: int = 1
 
     def __post_init__(self):
         if self.experiment not in _EXPERIMENTS:
@@ -160,10 +159,10 @@ class ExperimentConfig:
                 raise ConfigError(f"probe point {p} outside (0, 1]")
         if not self.probes:
             raise ConfigError("probe list is empty")
-        if not self.theta > 1:  # also rejects nan
-            raise ConfigError("theta must exceed 1")
-        if self.workers < 1:
-            raise ConfigError("workers must be at least 1")
+        if not 1 < self.theta < math.inf:  # also rejects nan
+            raise ConfigError("theta must be finite and exceed 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
 
     def frame_for(self, N: int) -> frames.FrameSpec:
         try:
@@ -198,79 +197,71 @@ def _read_config_file(path: str) -> dict:
     return entries
 
 
+def _parse_switch(text: str) -> Optional[bool]:
+    """Parse normalize_psi: auto (or empty), on, or off."""
+    lowered = text.lower()
+    if lowered in ("auto", ""):
+        return None
+    if lowered in ("1", "true", "on", "yes"):
+        return True
+    if lowered in ("0", "false", "off", "no"):
+        return False
+    raise ConfigError(f"could not parse normalize_psi value {text!r}")
+
+
+# config key -> (ExperimentConfig field, parser of its text); a flag and a
+# config file entry go through the same parser, and a key given neither way
+# leaves the field at its default
 _CONFIG_KEYS = {
-    "experiment", "frame", "K", "normalize_psi", "nodes", "N", "M", "M_rule",
-    "gammas", "eps", "theta", "probes", "out", "seed", "workers",
+    "experiment": ("experiment", str),
+    "frame": ("frame", str),
+    "K": ("K", int),
+    "normalize_psi": ("normalize_psi", _parse_switch),
+    "nodes": ("nodes", str),
+    "N": ("N_values", _parse_int_range),
+    "M": ("M_values", _parse_int_range),
+    "M_rule": ("M_rule", str),
+    "gammas": ("gammas", lambda text: _parse_float_list(text, "gamma")),
+    "eps": ("epsilons", lambda text: _parse_float_list(text, "epsilon")),
+    "theta": ("theta", float),
+    "probes": ("probes", lambda text: _parse_float_list(text, "probe")),
+    "out": ("out", Path),
+    "seed": ("seed", int),
 }
 
 
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
-    values = {}
+    texts = {}
     if args.config:
-        values.update(_read_config_file(args.config))
-        unknown = set(values) - _CONFIG_KEYS
+        texts.update(_read_config_file(args.config))
+        unknown = set(texts) - _CONFIG_KEYS.keys()
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
-        if "experiment" in values and values["experiment"] != args.experiment:
+        if "experiment" in texts and texts["experiment"] != args.experiment:
             raise ConfigError(
-                f"config file names experiment {values['experiment']!r} "
+                f"config file names experiment {texts['experiment']!r} "
                 f"but the experiment argument is {args.experiment!r}"
             )
     # command-line flags win over config file entries
     for key, flag in vars(args).items():
         if key in _CONFIG_KEYS and flag is not None:
-            values[key] = flag
+            texts[key] = flag
 
-    def _get(key, default=None):
-        return values.get(key, default)
-
-    try:
-        K = int(_get("K", 1))
-        seed = int(_get("seed", 0))
-        theta = float(_get("theta", 2.0))
-        workers = int(_get("workers", 1))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from None
-
-    normalize = _get("normalize_psi")
-    if isinstance(normalize, str):
-        lowered = normalize.lower()
-        if lowered in ("auto", ""):
-            normalize = None
-        elif lowered in ("1", "true", "on", "yes"):
-            normalize = True
-        elif lowered in ("0", "false", "off", "no"):
-            normalize = False
-        else:
-            raise ConfigError(f"could not parse normalize_psi value {normalize!r}")
-    # checked on the keys given, since K defaults to 1 for the enriched frame
-    if _get("frame") == "onb" and (("K" in values and K != 0) or normalize is not None):
-        raise ConfigError("frame onb has no enrichment: K must be 0 and normalize_psi unset")
-
-    env_cap = os.environ.get("FRAMEAPPROX_THREADS")
-    if env_cap:
+    settings = {}
+    for key, text in texts.items():
+        name, parse = _CONFIG_KEYS[key]
         try:
-            workers = min(workers, max(1, int(env_cap)))
+            settings[name] = parse(text)
+        except ConfigError:
+            raise
         except ValueError:
-            raise ConfigError(f"FRAMEAPPROX_THREADS is not an integer: {env_cap!r}") from None
-
-    return ExperimentConfig(
-        experiment=args.experiment,
-        frame=_get("frame", "onbk"),
-        K=K,
-        normalize_psi=normalize,
-        nodes=_get("nodes", "chebyshev"),
-        N_values=_parse_int_range(_get("N")) if _get("N") is not None else range(0),
-        M_values=_parse_int_range(_get("M")) if _get("M") is not None else range(0),
-        M_rule=_get("M_rule", "2N"),
-        gammas=_parse_float_list(_get("gammas"), "gamma") if _get("gammas") is not None else [2.0],
-        epsilons=_parse_float_list(_get("eps"), "epsilon") if _get("eps") is not None else [1e-13],
-        theta=theta,
-        probes=_parse_float_list(_get("probes"), "probe") if _get("probes") is not None else list(DEFAULT_PROBES),
-        out=Path(_get("out")) if _get("out") is not None else None,
-        seed=seed,
-        workers=workers,
-    )
+            raise ConfigError(f"could not parse {key} value {text!r}") from None
+    # checked on the keys given, since K defaults to 1 for the enriched frame
+    if settings.get("frame") == "onb" and (
+        settings.get("K") or settings.get("normalize_psi") is not None
+    ):
+        raise ConfigError("frame onb has no enrichment: K must be 0 and normalize_psi unset")
+    return ExperimentConfig(**settings)
 
 
 def _fmt(value) -> str:
@@ -290,6 +281,8 @@ def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> N
 
 def _check_writable(path: Path) -> None:
     # checked before the sweep, so a bad --out costs no computation
+    if path.is_dir():
+        raise ConfigError(f"cannot write {path}: it is a directory")
     directory = path.parent
     if not directory.is_dir():
         raise ConfigError(f"cannot write {path}: no directory {directory}")
@@ -363,8 +356,7 @@ def run_constants(cfg: ExperimentConfig) -> Path:
             raise ConfigError(f"gamma must be finite and at least 1, got {gamma}")
         _system_rows(gamma * N_max, N_max)
     sweep = diagnostics.constants_sweep(
-        cfg.frame_for, cfg.scheme_family(), cfg.gammas, Ns, cfg.epsilons,
-        workers=cfg.workers,
+        cfg.frame_for, cfg.scheme_family(), cfg.gammas, Ns, cfg.epsilons
     )
     rows = [
         (gamma, r.N, r.M, r.epsilon, r.kappa, r.lam, r.kept_rank, r.A_prime_MN)
@@ -552,7 +544,7 @@ _PARSER.add_argument("experiment", choices=_EXPERIMENTS, metavar="experiment",
                      help="experiment to run (listed below)")
 _PARSER.add_argument("--frame", choices=("onbk", "onb"),
                      help="frame family: enriched (onbk) or plain polynomial (onb)")
-_PARSER.add_argument("--K", type=int, help="number of enrichment elements")
+_PARSER.add_argument("--K", help="number of enrichment elements")
 _PARSER.add_argument("--normalize-psi", dest="normalize_psi",
                      help="normalize the K=1 enrichment element: auto, on, off")
 _PARSER.add_argument("--nodes", choices=_SCHEME_FAMILIES, help="sampling scheme family")
@@ -562,12 +554,13 @@ _PARSER.add_argument("--M-rule", dest="M_rule",
                      help="M as a function of N, e.g. 2N, 1.5N, or a fixed integer")
 _PARSER.add_argument("--gammas", help="comma list of oversampling ratios")
 _PARSER.add_argument("--eps", help="comma list of truncation thresholds")
-_PARSER.add_argument("--theta", type=float, help="stability target for ssr")
+_PARSER.add_argument("--theta", help="stability target for ssr")
 _PARSER.add_argument("--probes", help="comma list of probe points in (0, 1]")
 _PARSER.add_argument("--out", help="output CSV path")
-_PARSER.add_argument("--seed", type=int, help="seed for randomized checks")
-_PARSER.add_argument("--workers", type=int,
-                     help="worker threads for sweeps (capped by FRAMEAPPROX_THREADS)")
+_PARSER.add_argument("--seed", help="seed for randomized checks")
+# accepted only as 1 and ignored, for callers that still pass it; it goes
+# when the benchmark's commands drop it (ROADMAP item 10)
+_PARSER.add_argument("--workers", type=int, choices=(1,), help=argparse.SUPPRESS)
 _PARSER.add_argument("--config", help="key = value config file")
 
 

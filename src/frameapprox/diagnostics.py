@@ -116,6 +116,9 @@ __all__ = [
     "constants_sweep",
 ]
 
+# relative tolerance of DiagnosticsReport.bound_violations on each a-priori cap
+_BOUND_REL_SLACK = 1e-9
+
 
 def _check_epsilon(epsilon: float) -> None:
     if not 0 < epsilon < math.inf:  # also rejects nan
@@ -164,28 +167,19 @@ class DiagnosticsReport:
     sigma_min: float
     A_prime_MN: float
 
-    def bound_violations(
-        self, frame: FrameSpec, scheme: SamplingScheme, rel_slack: float = 1e-9
-    ) -> List[str]:
+    def bound_violations(self, frame: FrameSpec, scheme: SamplingScheme) -> List[str]:
         """Check the a-priori bounds; returns one message per violation."""
-        out = []
-        cap = math.sqrt(frame.B_upper) / self.epsilon
-        for name, value in (("kappa", self.kappa), ("lambda", self.lam)):
-            if value > cap * (1.0 + rel_slack):
-                out.append(f"{name} = {value:.6g} exceeds sqrt(B)/eps = {cap:.6g}")
+        caps = [("sqrt(B)/eps", math.sqrt(frame.B_upper) / self.epsilon)]
         if scheme.kind is SchemeKind.BASIS_INNER_PRODUCTS:
-            cap = 1.0 / math.sqrt(self.epsilon)
-            for name, value in (("kappa", self.kappa), ("lambda", self.lam)):
-                if value > cap * (1.0 + rel_slack):
-                    out.append(f"{name} = {value:.6g} exceeds 1/sqrt(eps) = {cap:.6g}")
+            caps.append(("1/sqrt(eps)", 1.0 / math.sqrt(self.epsilon)))
         if self.A_prime_MN > 0:
-            cap = 1.0 / math.sqrt(self.A_prime_MN)
-            for name, value in (("kappa", self.kappa), ("lambda", self.lam)):
-                if value > cap * (1.0 + rel_slack):
-                    out.append(
-                        f"{name} = {value:.6g} exceeds 1/sqrt(A'_MN) = {cap:.6g}"
-                    )
-        return out
+            caps.append(("1/sqrt(A'_MN)", 1.0 / math.sqrt(self.A_prime_MN)))
+        return [
+            f"{name} = {value:.6g} exceeds {label} = {cap:.6g}"
+            for label, cap in caps
+            for name, value in (("kappa", self.kappa), ("lambda", self.lam))
+            if value > cap * (1.0 + _BOUND_REL_SLACK)
+        ]
 
 
 def diagnose(
@@ -284,32 +278,19 @@ def constants_sweep(
     gammas: Sequence[float],
     Ns: Sequence[int],
     epsilons: Sequence[float],
-    workers: int = 1,
 ) -> List[Tuple[float, DiagnosticsReport]]:
     """(gamma, report) over the grid M = ceil(gamma N), ordered by (gamma, N, epsilon).
 
     Each cell is one diagnose call on one sampled system, with the frame's
-    Gram factor shared across its cells; cells may be evaluated by a small
-    worker pool.
+    Gram factor shared across its cells.
     """
     factors = {N: build_gram_factor(frame_family(N)) for N in sorted(set(Ns))}
-
-    def cell(args) -> List[Tuple[float, DiagnosticsReport]]:
-        gamma, N = args
-        M = max(N, math.ceil(gamma * N))
-        system = build_system(frame_family(N), scheme_family.realize(M))
-        return [(float(gamma), report) for report in diagnose(system, factors[N], epsilons)]
-
-    cells = [(gamma, N) for gamma in gammas for N in Ns]
-    if workers > 1:
-        # imported here: concurrent.futures loads logging, which every
-        # other caller would pay for at import
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(cell, cells))
-    else:
-        chunks = [cell(c) for c in cells]
-    rows = [row for chunk in chunks for row in chunk]
+    rows = []
+    for gamma in gammas:
+        for N in Ns:
+            M = max(N, math.ceil(gamma * N))
+            system = build_system(frame_family(N), scheme_family.realize(M))
+            reports = diagnose(system, factors[N], epsilons)
+            rows.extend((float(gamma), report) for report in reports)
     rows.sort(key=lambda row: (row[0], row[1].N, row[1].epsilon))
     return rows

@@ -8,8 +8,8 @@ indices K..N-1 are the polynomials phi_0, ..., phi_{N-K-1}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -25,26 +25,22 @@ __all__ = [
     "target_function",
 ]
 
-# squared L2(0,1) norm of the default weight log(x)
+# squared L2(0,1) norm of the weight log(x)
 _LOG_NORM_SQ = 2.0
 
 
 @dataclass(frozen=True)
 class FrameSpec:
-    """A truncated frame of N elements, the first K of them weighted.
+    """A truncated frame of N elements, the first K of them weighted by log(x).
 
     B_upper bounds the upper frame constant of the full (infinite) system
-    the truncation is drawn from, not of the truncation itself.  Frames
-    with different weight callables differ; the default np.log is one
-    object, so default frames compare equal.
+    the truncation is drawn from, not of the truncation itself; it follows
+    from K and normalize_psi.
     """
 
     K: int
     N: int
-    B_upper: float
     normalize_psi: bool = False
-    weight: Callable = field(default=np.log, repr=False)
-    weight_norm_sq: float = _LOG_NORM_SQ
 
     def __post_init__(self):
         if self.N < 1:
@@ -58,25 +54,25 @@ class FrameSpec:
     def max_poly_degree(self) -> int:
         return self.N - self.K - 1
 
+    @property
+    def B_upper(self) -> float:
+        # a normalized single enrichment gives B = 1 + ||w||^2 / ||w||^2 = 2
+        if self.normalize_psi:
+            return 2.0
+        return 1.0 + _LOG_NORM_SQ * self.K * self.K
+
 
 def legendre_onb(N: int) -> FrameSpec:
     """The first N orthonormal shifted Legendre polynomials (A = B = 1)."""
-    return FrameSpec(K=0, N=N, B_upper=1.0)
+    return FrameSpec(K=0, N=N)
 
 
-def onb_plus_k(
-    N: int,
-    K: int,
-    normalize_psi: Optional[bool] = None,
-    weight: Optional[Callable] = None,
-    weight_norm_sq: float = _LOG_NORM_SQ,
-) -> FrameSpec:
-    """Legendre basis enriched by K weighted elements psi_k = w phi_k.
+def onb_plus_k(N: int, K: int, normalize_psi: Optional[bool] = None) -> FrameSpec:
+    """Legendre basis enriched by K weighted elements psi_k = log(x) phi_k.
 
     With K = 1 the single enrichment is normalized by default, giving frame
-    bounds A = 1, B = 1 + ||w||^2 / ||w||^2 = 2 for the log weight; for
-    K >= 2 the enrichments are kept unnormalized and B <= 1 + ||w||^2 K^2.
-    K = 0 falls back to the pure basis.
+    bounds A = 1, B = 2; for K >= 2 the enrichments are kept unnormalized
+    and B <= 1 + ||log||^2 K^2.  K = 0 falls back to the pure basis.
     """
     if K == 0:
         return legendre_onb(N)
@@ -84,18 +80,7 @@ def onb_plus_k(
         raise ValueError("K must be <= N")
     if normalize_psi is None:
         normalize_psi = K == 1
-    if normalize_psi:
-        B_upper = 2.0
-    else:
-        B_upper = 1.0 + weight_norm_sq * K * K
-    return FrameSpec(
-        K=K,
-        N=N,
-        B_upper=B_upper,
-        normalize_psi=normalize_psi,
-        weight=weight if weight is not None else np.log,
-        weight_norm_sq=weight_norm_sq,
-    )
+    return FrameSpec(K=K, N=N, normalize_psi=normalize_psi)
 
 
 @dataclass
@@ -142,10 +127,9 @@ def _elements_from_table(frame: FrameSpec, x, table: np.ndarray) -> np.ndarray:
         raise ValueError("weighted frame elements are undefined at x = 0")
     out = np.empty((N, x.size), dtype=x.dtype)
     if K > 0:
-        w = np.asarray(frame.weight(x), dtype=x.dtype)
-        out[:K] = w[None, :] * table[:K]
+        out[:K] = np.log(x)[None, :] * table[:K]
         if frame.normalize_psi:
-            out[0] /= np.sqrt(x.dtype.type(frame.weight_norm_sq))
+            out[0] /= np.sqrt(x.dtype.type(_LOG_NORM_SQ))
     if N > K:
         out[K:] = table[: N - K]
     return out

@@ -173,14 +173,7 @@ def _comparison_norms(system: GramSystem, f, z: np.ndarray, rule: QuadratureRule
     return cont, disc, fvals
 
 
-def verify_error_bound(
-    approx: Approximant,
-    f,
-    z,
-    kappa: float,
-    lam: float,
-    slack_tol: float = 0.0,
-) -> BoundCheck:
+def verify_error_bound(approx: Approximant, f, z, kappa: float, lam: float) -> BoundCheck:
     """Check the approximation error bound against a comparison vector z.
 
     For point-value data the right-hand side is ||f - Tz|| +
@@ -202,16 +195,10 @@ def verify_error_bound(
         rhs = (1.0 + np.sqrt(approx.frame.B_upper) * kappa) * cont + eps_term
     else:
         rhs = cont + kappa * disc + eps_term
-    slack = rhs - lhs
-    return BoundCheck(holds=lhs <= rhs + slack_tol, slack=slack, lhs=lhs, rhs=float(rhs))
+    return BoundCheck(holds=lhs <= rhs, slack=rhs - lhs, lhs=lhs, rhs=float(rhs))
 
 
-def verify_coefficient_bound(
-    solution: RegularizedSolution,
-    f,
-    z,
-    slack_tol: float = 0.0,
-) -> BoundCheck:
+def verify_coefficient_bound(solution: RegularizedSolution, f, z) -> BoundCheck:
     """Check ||x_eps|| <= (1 / eps) ||f - Tz||_M + ||z||."""
     if solution.epsilon <= 0:
         raise ValueError("bound verification requires epsilon > 0")
@@ -222,5 +209,4 @@ def verify_coefficient_bound(
     disc = float(np.linalg.norm(y_f - solution.system.matrix @ z))
     lhs = solution.coefficients.norm()
     rhs = disc / solution.epsilon + float(np.linalg.norm(z))
-    slack = rhs - lhs
-    return BoundCheck(holds=lhs <= rhs + slack_tol, slack=slack, lhs=lhs, rhs=rhs)
+    return BoundCheck(holds=lhs <= rhs, slack=rhs - lhs, lhs=lhs, rhs=rhs)

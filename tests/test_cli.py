@@ -137,6 +137,9 @@ def test_single_approx_summary(tmp_path, capsys):
     ["constants", "--N", "5", "--eps", "inf"],
     ["pointwise_error", "--N", "5", "--eps", "inf"],
     ["ssr", "--N", "5", "--eps", "inf"],
+    ["ssr", "--N", "5", "--theta", "inf"],
+    ["selftest", "--seed", "-1"],  # numpy's generator takes no negative seed
+    ["constants", "--N", "5", "--workers", "2"],  # only 1 is accepted
 ])
 def test_invalid_configurations_exit_one(argv, tmp_path, capsys):
     code = cli.main(argv + ["--out", str(tmp_path / "x.csv")])
@@ -224,9 +227,9 @@ def test_second_main_call_builds_no_parser(tmp_path, monkeypatch):
      cli.ExperimentConfig("oversampling", K=2, normalize_psi=False, nodes="legendre",
                           N_values=range(46, 47), M_values=range(40, 201, 40), seed=3)),
     (["constants", "--K", "5", "--eps", "1e-5,1e-8", "--gammas", "1,1.5,2,3",
-      "--nodes", "equispaced", "--N", "5:5:20", "--workers", "2"],
+      "--nodes", "equispaced", "--N", "5:5:20"],
      cli.ExperimentConfig("constants", K=5, nodes="equispaced", N_values=range(5, 21, 5),
-                          gammas=[1.0, 1.5, 2.0, 3.0], epsilons=[1e-5, 1e-8], workers=2)),
+                          gammas=[1.0, 1.5, 2.0, 3.0], epsilons=[1e-5, 1e-8])),
     (["ssr", "--K", "1", "--nodes", "inner", "--theta", "2.5", "--N", "5:5:15",
       "--eps", "1e-5"],
      cli.ExperimentConfig("ssr", nodes="inner", N_values=range(5, 16, 5), epsilons=[1e-5],
@@ -237,10 +240,15 @@ def test_second_main_call_builds_no_parser(tmp_path, monkeypatch):
                           N_values=range(20, 21), M_values=range(40, 41), epsilons=[2e-13])),
     (["selftest", "--seed", "7"], cli.ExperimentConfig("selftest", seed=7)),
 ])
-def test_parsed_configuration(argv, expected, monkeypatch):
-    monkeypatch.delenv("FRAMEAPPROX_THREADS", raising=False)
-    cfg = cli._build_config(cli._PARSER.parse_args(argv))
-    assert cfg == expected
+def test_parsed_configuration(argv, expected, tmp_path):
+    assert cli._build_config(cli._PARSER.parse_args(argv)) == expected
+    # the same keys from a config file give the same configuration
+    experiment, options = argv[0], argv[1:]
+    config = tmp_path / "run.cfg"
+    config.write_text("".join(f"{flag.lstrip('-')} = {value}\n"
+                              for flag, value in zip(options[::2], options[1::2])))
+    args = cli._PARSER.parse_args([experiment, "--config", str(config)])
+    assert cli._build_config(args) == expected
 
 
 def test_options_may_precede_the_experiment(tmp_path):
@@ -328,8 +336,9 @@ def test_config_file_errors(tmp_path):
     assert cli.main(["pointwise_error", "--config", str(tmp_path / "missing.cfg"),
                      "--N", "5"]) == 1
 
+    # the worker pool is gone, so workers is an unknown key
     bad_workers = tmp_path / "workers.cfg"
-    bad_workers.write_text("workers = two\n")
+    bad_workers.write_text("workers = 1\n")
     assert cli.main(["pointwise_error", "--config", str(bad_workers), "--N", "5"]) == 1
 
     enriched = tmp_path / "enriched.cfg"
@@ -351,12 +360,17 @@ def test_unwritable_output_exits_one(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: cannot write")
 
 
-def test_unwritable_output_checked_before_computing(tmp_path, monkeypatch):
+@pytest.mark.parametrize("out", [
+    lambda tmp_path: str(tmp_path / "missing" / "x.csv"),
+    lambda tmp_path: str(tmp_path),
+    lambda tmp_path: "",  # the working directory
+], ids=["missing_directory", "existing_directory", "empty_path"])
+def test_unwritable_output_checked_before_computing(out, tmp_path, monkeypatch):
     def sweep(*args, **kwargs):
         raise AssertionError("the sweep ran before --out was checked")
     monkeypatch.setattr(cli.diagnostics, "constants_sweep", sweep)
-    out = tmp_path / "missing" / "x.csv"
-    assert cli.main(["constants", "--N", "5", "--out", str(out)]) == 1
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["constants", "--N", "5", "--out", out(tmp_path)]) == 1
 
 
 def test_output_files_are_deterministic(tmp_path):
@@ -365,15 +379,6 @@ def test_output_files_are_deterministic(tmp_path):
     assert cli.main(args + ["--out", str(a)]) == 0
     assert cli.main(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
-
-
-def test_threads_env_cap(tmp_path, monkeypatch):
-    monkeypatch.setenv("FRAMEAPPROX_THREADS", "1")
-    out = tmp_path / "c.csv"
-    assert cli.main(["constants", "--N", "5", "--workers", "8",
-                     "--out", str(out)]) == 0
-    monkeypatch.setenv("FRAMEAPPROX_THREADS", "abc")
-    assert cli.main(["constants", "--N", "5", "--out", str(out)]) == 1
 
 
 @pytest.fixture
@@ -445,16 +450,6 @@ def test_blas_pin_is_a_no_op_without_openblas(patch, tmp_path, monkeypatch):
     assert out.exists()
 
 
-def test_constants_identical_across_workers(tmp_path, monkeypatch):
-    monkeypatch.delenv("FRAMEAPPROX_THREADS", raising=False)
-    args = ["constants", "--K", "2", "--nodes", "legendre", "--N", "5:5:20",
-            "--gammas", "1,1.5,2,3", "--eps", "1e-5,1e-8"]
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert cli.main(args + ["--workers", "1", "--out", str(a)]) == 0
-    assert cli.main(args + ["--workers", "3", "--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
-
-
 def test_selftest_passes_on_fresh_build(capsys):
     assert cli.main(["selftest", "--seed", "0"]) == 0
     out = capsys.readouterr().out
@@ -494,7 +489,8 @@ def test_import_loads_no_scipy():
 
 
 def test_import_loads_no_thread_pool():
-    # concurrent.futures, and the logging it loads, serve constants_sweep(workers > 1) only
+    # nothing runs on a thread pool, so neither concurrent.futures nor the
+    # logging it loads may slow the start-up
     code = ("import sys, frameapprox, frameapprox.cli; "
             "assert 'concurrent.futures' not in sys.modules")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)

@@ -67,13 +67,6 @@ def test_element_matrix_domain_errors():
     assert np.isfinite(vals).all()
 
 
-def test_custom_weight_override():
-    frame = frames.onb_plus_k(5, 1, weight=np.sqrt, weight_norm_sq=0.5)
-    x = np.array([0.25, 0.81])
-    elems = frames.element_matrix(frame, x)
-    assert np.allclose(elems[0], np.sqrt(x) / np.sqrt(0.5), atol=1e-15)
-
-
 def _mp_elements(frame, x):
     # every element at the exact value of each point, 40 digits
     cols = []
