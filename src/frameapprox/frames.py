@@ -105,26 +105,16 @@ def element_matrix(frame: FrameSpec, x) -> np.ndarray:
     Long double points give long double values, weight included; any other
     input is evaluated in double.  Evaluation of a weighted element
     (row j < K) at x <= 0 is a domain error.  The values are formed from
-    one Legendre table of degree `_table_degree(frame)`; callers that
-    already hold a table of at least that degree at the same points (the
-    inner-product assembly) form them with `_elements_from_table`.
+    one Legendre table, of the highest degree among the polynomials and
+    the weighted copies.
     """
-    return _elements_from_table(frame, x, legendre_table(_table_degree(frame), x))
-
-
-def _table_degree(frame: FrameSpec) -> int:
-    # highest Legendre degree among the polynomials and the weighted copies
-    return max(frame.max_poly_degree, frame.K - 1, 0)
-
-
-def _elements_from_table(frame: FrameSpec, x, table: np.ndarray) -> np.ndarray:
-    # the elements at x from legendre_table(d, x) with d >= _table_degree(frame)
     x = _as_nodes(x)
     if np.any(x < 0.0) or np.any(x > 1.0):
         raise ValueError("evaluation points must lie in [0, 1]")
     K, N = frame.K, frame.N
     if K > 0 and np.any(x <= 0.0):
         raise ValueError("weighted frame elements are undefined at x = 0")
+    table = legendre_table(max(frame.max_poly_degree, K - 1, 0), x)
     out = np.empty((N, x.size), dtype=x.dtype)
     if K > 0:
         out[:K] = np.log(x)[None, :] * table[:K]

@@ -8,8 +8,8 @@ from typing import Optional
 
 import numpy as np
 
-from .frames import FrameSpec, _elements_from_table, _table_degree, element_matrix
-from .orthopoly import QuadratureRule, hp_log_quadrature, legendre_table
+from .frames import _LOG_NORM_SQ, FrameSpec, element_matrix
+from .orthopoly import QuadratureRule, _node_blocks, hp_log_quadrature
 from .sampling import SamplingScheme, SchemeKind
 
 __all__ = [
@@ -18,13 +18,6 @@ __all__ = [
     "build_system",
     "build_gram_factor",
 ]
-
-# Values per node block of both quadrature assemblies (2 MiB of doubles): N
-# element values per node for the Gram factor, M basis plus N element values
-# for an inner-product system (whose one Legendre table per block serves
-# both).  The N = 60 Gram factor rule (41 * 72 nodes) and every
-# inner-product system up to M = 46 at N = 40 are one block.
-_BLOCK_VALUES = 2**18
 
 
 @dataclass
@@ -99,38 +92,46 @@ class GramFactor:
         return _weighted_elements(self.frame, self.rule, slice(None))
 
 
-def _node_blocks(size: int, values_per_node: int):
-    step = max(1, _BLOCK_VALUES // values_per_node)
-    return (slice(start, min(start + step, size)) for start in range(0, size, step))
-
-
 def _weighted_elements(frame: FrameSpec, rule: QuadratureRule, block: slice) -> np.ndarray:
     # the rows of H at the rule's nodes in block
     return np.sqrt(rule.weights[block])[:, None] * element_matrix(frame, rule.nodes[block]).T
 
 
-def _assemble_inner_product_matrix(frame: FrameSpec, M: int, rule: QuadratureRule) -> np.ndarray:
-    """G[m, j] = sum_k w_k phi_m(x_k) elem_j(x_k) over the rule, block by block.
+def _log_moments(K: int, M: int) -> np.ndarray:
+    """L[k, m] = <log(x) phi_k, phi_m> for k < K and m < M, in O(MK) without quadrature.
 
-    Per node block one Legendre table of degree max(M - 1, frame degree)
-    gives both the M basis rows (its first M rows) and the frame elements,
-    since row n of the table does not depend on its length.
+    Row 0 of L, the matrix of log(x) in the orthonormal shifted Legendre
+    basis, is L[0, 0] = -1, L[0, m] = (-1)^(m+1) sqrt(2m + 1) / (m (m + 1)).
+    L commutes with the Jacobi matrix of x (diagonal 1/2, off-diagonal
+    a_n = n / (2 sqrt(4n^2 - 1))), which gives each row from the two above
+    it, one column shorter: L[i+1, j] = (a_j L[i, j-1] + a_{j+1} L[i, j+1]
+    - a_i L[i-1, j]) / a_{i+1}.
     """
-    G = np.zeros((M, frame.N))
-    degree = max(M - 1, _table_degree(frame))
-    for block in _node_blocks(rule.size, M + frame.N):
-        nodes = rule.nodes[block]
-        table = legendre_table(degree, nodes)
-        elems = _elements_from_table(frame, nodes, table)
-        G += (table[:M] * rule.weights[block][None, :]) @ elems.T
-    return G
+    m = np.arange(1.0, M + K - 1)
+    row = np.concatenate(([-1.0], (-1.0) ** (m + 1) * np.sqrt(2 * m + 1) / (m * (m + 1))))
+    n = np.arange(1.0, M + K)
+    a = np.concatenate(([0.0], n / (2.0 * np.sqrt(4.0 * n * n - 1.0))))
+    above = np.zeros_like(row)
+    L = np.empty((K, M))
+    for i in range(K):
+        L[i] = row[:M]
+        below = a[1:row.size] * row[1:]
+        below[1:] += a[1:row.size - 1] * row[:-2]
+        below -= a[i] * above[:below.size]
+        above, row = row, below / a[i + 1]
+    return L
 
 
 def _system_matrix(frame: FrameSpec, scheme: SamplingScheme) -> np.ndarray:
     """The M x N sampled matrix: entry (m, j) is functional m applied to element j."""
     if scheme.kind is SchemeKind.WEIGHTED_POINT_VALUES:
         return scheme.scales[:, None] * element_matrix(frame, scheme.nodes).T
-    return _assemble_inner_product_matrix(frame, scheme.M, scheme.rule)
+    # each element's first M Legendre coefficients: I for phi, rows of L for psi
+    G = np.eye(scheme.M, frame.N, frame.K)
+    G[:, : frame.K] = _log_moments(frame.K, scheme.M).T
+    if frame.normalize_psi:
+        G[:, 0] /= np.sqrt(_LOG_NORM_SQ)
+    return G
 
 
 def build_system(frame: FrameSpec, scheme: SamplingScheme) -> GramSystem:

@@ -57,6 +57,11 @@ class QuadratureRule:
 # values per block of recurrence coefficients (2n + 1) t (128 KiB of doubles)
 _COEFFICIENT_BLOCK_VALUES = 2**14
 
+# Values per node block of the sums over an hp rule (2 MiB of doubles): N per
+# node for the Gram factor's elements, M for the basis of inner-product data.
+# Either sum is one block when its N or M is at most 74 (41 * 86 nodes).
+_BLOCK_VALUES = 2**18
+
 
 def _as_nodes(x) -> np.ndarray:
     """x as a 1-d array of evaluation points: long double stays, anything else is double."""
@@ -175,3 +180,9 @@ def hp_log_quadrature(levels: int = 40, order: int = 10) -> QuadratureRule:
     a = edges[:-1, None]
     h = np.diff(edges)[:, None]
     return QuadratureRule(nodes=(a + h * base_nodes).ravel(), weights=(h * base_weights).ravel())
+
+
+def _node_blocks(size: int, values_per_node: int):
+    """Slices of range(size) holding at most _BLOCK_VALUES values each."""
+    step = max(1, _BLOCK_VALUES // values_per_node)
+    return (slice(start, min(start + step, size)) for start in range(0, size, step))

@@ -4,7 +4,7 @@ A sampling scheme turns a function on (0, 1] into a data vector of M
 numbers.  Point schemes return s_m * f(x_m) with per-node scale factors
 s_m chosen so that the discrete norm mimics the continuous L2 norm where
 possible; the inner-product scheme returns coefficients against the
-Legendre orthonormal basis, evaluated by quadrature.
+Legendre orthonormal basis, integrated by quadrature only in `sample`.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from typing import TYPE_CHECKING, Callable, Optional
 import numpy as np
 
 from .orthopoly import (
-    QuadratureRule,
     _gauss_legendre_cached,
+    _node_blocks,
     chebyshev_nodes,
     equispaced_nodes,
     hp_log_quadrature,
@@ -54,16 +54,14 @@ class SchemeKind(enum.Enum):
 class SamplingScheme:
     """M sampling functionals.
 
-    For point schemes `nodes` and `scales` hold the x_m and s_m; for the
-    inner-product scheme `rule` holds the quadrature used to evaluate the
-    basis coefficients.
+    For point schemes `nodes` and `scales` hold the x_m and s_m; the
+    inner-product scheme is defined by M alone.
     """
 
     kind: SchemeKind
     M: int
     nodes: Optional[np.ndarray] = None
     scales: Optional[np.ndarray] = None
-    rule: Optional[QuadratureRule] = None
 
     def __post_init__(self):
         if self.M < 1:
@@ -73,9 +71,6 @@ class SamplingScheme:
                 raise ValueError("point scheme requires nodes and scales")
             if len(self.nodes) != self.M or len(self.scales) != self.M:
                 raise ValueError("nodes and scales must have length M")
-        else:
-            if self.rule is None:
-                raise ValueError("inner-product scheme requires a quadrature rule")
 
 
 @dataclass
@@ -97,16 +92,10 @@ class DataVector:
 def inner_product_scheme(M: int) -> SamplingScheme:
     """Coefficients against the first M orthonormal Legendre polynomials.
 
-    The quadrature resolves both smooth integrands and integrands with a
-    log singularity at 0; its per-cell order grows with M so products of
-    degree-(M-1) coefficients against degree <= M polynomials stay at
-    per-cell exactness.
+    The scheme holds only M: its systems are closed form
+    (`gram._system_matrix`), and `sample` builds its own quadrature.
     """
-    return SamplingScheme(
-        kind=SchemeKind.BASIS_INNER_PRODUCTS,
-        M=M,
-        rule=hp_log_quadrature(levels=40, order=max(12, M + 12)),
-    )
+    return SamplingScheme(kind=SchemeKind.BASIS_INNER_PRODUCTS, M=M)
 
 
 def legendre_point_scheme(M: int) -> SamplingScheme:
@@ -195,14 +184,19 @@ def _evaluate(f, x: np.ndarray) -> np.ndarray:
 
 
 def sample(scheme: SamplingScheme, f) -> DataVector:
-    """Apply the M sampling functionals to a callable f."""
+    """Apply the M sampling functionals to a callable f.
+
+    Inner products integrate f on an hp rule of per-cell order M + 12,
+    which resolves a log singularity at 0, summing the Legendre table one
+    node block at a time.
+    """
     if scheme.kind is SchemeKind.WEIGHTED_POINT_VALUES:
         values = scheme.scales * _evaluate(f, scheme.nodes)
     else:
-        rule = scheme.rule
+        rule = hp_log_quadrature(levels=40, order=max(12, scheme.M + 12))
         fw = rule.weights * _evaluate(f, rule.nodes)
-        basis = legendre_table(scheme.M - 1, rule.nodes)
-        values = basis @ fw
+        values = sum(legendre_table(scheme.M - 1, rule.nodes[block]) @ fw[block]
+                     for block in _node_blocks(rule.size, scheme.M))
     return DataVector(values=values, scheme=scheme)
 
 

@@ -1,6 +1,8 @@
 """Sampled Gram systems and the continuous Gram factor."""
 
 import tracemalloc
+from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -19,49 +21,48 @@ def test_pure_basis_inner_product_system_is_identity_block():
     assert system.M == 14 and system.N == 8
 
 
-def _two_table_assembly(frame, M, rule):
-    # one Legendre table for the basis rows and another inside element_matrix
-    G = np.zeros((M, frame.N))
-    for block in gram._node_blocks(rule.size, M + frame.N):
-        basis = orthopoly.legendre_table(M - 1, rule.nodes[block])
-        elems = frames.element_matrix(frame, rule.nodes[block])
-        G += (basis * rule.weights[block][None, :]) @ elems.T
-    return G
+def _exact_log_moments(K, M):
+    # <log(x) phi_k, phi_m> from the monomial coefficients of the shifted
+    # Legendre polynomials and int_0^1 log(x) x^i dx = -1 / (i + 1)^2, in
+    # rationals up to the final sqrt(2k + 1) sqrt(2m + 1)
+    coeffs = [[(-1) ** (n + i) * comb(n, i) * comb(n + i, i) for i in range(n + 1)]
+              for n in range(max(K, M))]
+    L = np.empty((K, M))
+    for m in range(M):
+        moments = [sum(Fraction(-c, (i + j + 1) ** 2) for j, c in enumerate(coeffs[m]))
+                   for i in range(K)]
+        for k in range(K):
+            exact = sum(c * moments[i] for i, c in enumerate(coeffs[k]))
+            L[k, m] = float(exact) * np.sqrt((2 * k + 1) * (2 * m + 1))
+    return L
 
 
 @pytest.mark.parametrize("frame, M", [
     (frames.legendre_onb(10), 4),
     (frames.legendre_onb(10), 14),
     (frames.onb_plus_k(10, 1), 5),  # normalized enrichment
-    (frames.onb_plus_k(20, 5), 8),  # M < N - K: the frame sets the table degree
+    (frames.onb_plus_k(20, 5), 8),  # M < N - K
     (frames.onb_plus_k(20, 5), 40),
-    (frames.onb_plus_k(60, 5), 120),  # four node blocks
+    (frames.onb_plus_k(60, 5), 120),
 ])
-def test_inner_product_system_equals_two_table_assembly(frame, M):
-    scheme = sampling.inner_product_scheme(M)
-    blocks = len(list(gram._node_blocks(scheme.rule.size, M + frame.N)))
-    assert (blocks > 1) == (frame.N == 60)
-    system = gram.build_system(frame, scheme)
-    assert np.array_equal(system.matrix, _two_table_assembly(frame, M, scheme.rule))
+def test_inner_product_system_matches_exact_log_moments(frame, M):
+    G = gram.build_system(frame, sampling.inner_product_scheme(M)).matrix
+    K = frame.K
+    assert np.array_equal(G[:, K:], np.eye(M, frame.N - K))
+    exact = _exact_log_moments(K, M).T
+    if frame.normalize_psi:
+        exact[:, 0] /= np.sqrt(2.0)
+    assert np.all(np.abs(G[:, :K] - exact) <= 1e-14 * np.abs(exact))
 
 
-def test_inner_product_assembly_evaluates_one_table_per_block(monkeypatch):
+def test_inner_product_data_match_system_columns():
+    # the data route integrates each element on the hp rule, the system
+    # route is closed form; both give the element's Legendre coefficients
     frame, scheme = frames.onb_plus_k(60, 5), sampling.inner_product_scheme(120)
-    calls = []
-
-    def counting(max_degree, x):
-        calls.append((max_degree, len(x)))
-        return orthopoly.legendre_table(max_degree, x)
-
-    def refuse(*args):
-        raise AssertionError("element_matrix evaluates a second table")
-
-    monkeypatch.setattr(gram, "legendre_table", counting)
-    monkeypatch.setattr(gram, "element_matrix", refuse)
-    monkeypatch.setattr(frames, "element_matrix", refuse)
-    gram.build_system(frame, scheme)
-    blocks = [b.stop - b.start for b in gram._node_blocks(scheme.rule.size, 120 + 60)]
-    assert calls == [(119, size) for size in blocks] and len(blocks) == 4
+    G = gram.build_system(frame, scheme).matrix
+    for j in range(frame.N):
+        y = sampling.sample(scheme, lambda x: frames.element_matrix(frame, x)[j]).values
+        assert np.abs(y - G[:, j]).max() < 1e-12
 
 
 def test_svd_factors_reconstruct_and_are_orthogonal():
@@ -194,7 +195,7 @@ def test_one_block_factor_is_the_qr_of_the_whole_quadrature_factor():
     # through N = 60 the rule is one block, so R is bit for bit the one-shot R
     for N in (20, 60):
         factor = gram.build_gram_factor(frames.onb_plus_k(N, 5))
-        assert factor.rule.size * N <= gram._BLOCK_VALUES
+        assert factor.rule.size * N <= orthopoly._BLOCK_VALUES
         assert np.array_equal(factor.R, np.linalg.qr(factor.matrix, mode="r"))
 
 
@@ -202,7 +203,7 @@ def test_one_block_factor_is_the_qr_of_the_whole_quadrature_factor():
 def test_blocked_factor_reproduces_gram(N):
     factor = gram.build_gram_factor(frames.onb_plus_k(N, 5))
     H, R = factor.matrix, factor.R
-    assert factor.rule.size * N > gram._BLOCK_VALUES  # more than one block
+    assert factor.rule.size * N > orthopoly._BLOCK_VALUES  # more than one block
     assert factor.N == N and R.shape == (N, N)
     assert np.array_equal(R, np.triu(R))
     scale = np.linalg.norm(H, 2) ** 2
@@ -211,7 +212,7 @@ def test_blocked_factor_reproduces_gram(N):
 
 def test_blocks_of_fewer_rows_than_elements_give_square_factor(monkeypatch):
     # above N = 512 a block holds fewer than N nodes, and the first R is trapezoidal
-    monkeypatch.setattr(gram, "_BLOCK_VALUES", 100)
+    monkeypatch.setattr(orthopoly, "_BLOCK_VALUES", 100)
     factor = gram.build_gram_factor(frames.onb_plus_k(20, 5))
     H, R = factor.matrix, factor.R
     assert R.shape == (20, 20)

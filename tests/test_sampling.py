@@ -1,5 +1,7 @@
 """Sampling schemes, sample norms, and richness estimates."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -52,6 +54,18 @@ def test_inner_product_scheme_reproduces_basis_coefficients():
         expected = np.zeros(6)
         expected[j] = 1.0
         assert np.abs(y - expected).max() < 1e-12
+
+
+def test_inner_product_sampling_holds_one_node_block_of_the_basis():
+    # the whole table at M = 400 is 400 x 16892 doubles (54 MB)
+    scheme = sampling.inner_product_scheme(400)
+    tracemalloc.start()
+    try:
+        sampling.sample(scheme, frames.target_function)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6
 
 
 def test_point_sampling_values():
@@ -123,6 +137,13 @@ def test_richness_pure_basis_inner_products_is_one():
     frame = frames.legendre_onb(8)
     value = _richness(frame, sampling.inner_product_scheme(8))
     assert abs(value - 1.0) < 1e-10
+
+
+def test_richness_of_inner_products_matches_frozen_oracle():
+    # smallest eigenvalue of R^-T G^T G R^-1 at 50 digits, from the exact
+    # log moments in G and the exact Gram of onb_plus_k(20, 5)
+    value = _richness(frames.onb_plus_k(20, 5), sampling.inner_product_scheme(40))
+    assert value == pytest.approx(2.8227907655603e-2, rel=1e-6)
 
 
 def test_richness_regression_enriched_gauss_points():
