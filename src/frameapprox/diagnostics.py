@@ -6,11 +6,10 @@ leakage of the discarded singular directions, scaled by 1/epsilon.  Both
 are continuous L2 norms, ||T V pinv(Sigma_eps)|| and
 (1 / eps) ||T V (I - I_eps)||, where I_eps selects the singular values
 strictly above the cutoff, counted by GramSystem.kept_rank as in the
-solver.  A quadrature factor H of the continuous Gram (H* H = Gram) turns
-the L2 norm of the expansion with coefficients x into ||H x||.  Writing
-H = QR with Q having orthonormal columns gives ||H X|| = ||Q R X|| =
-||R X|| for every X, so both constants are computed from the N x N
-triangular factor R alone:
+solver.  The Gram factor R of build_gram_factor is an N x N square root
+of the continuous Gram (R* R = Gram, in closed form), so the L2 norm of
+the expansion with coefficients x is ||R x||, and both constants are
+computed from R alone:
 
     kappa  = || R V_r Sigma_r^-1 ||_2
     lambda = (1 / eps) || R V_d ||_2
@@ -21,7 +20,8 @@ Every constant is a function of one (system, factor) pair: the sampled
 system from build_system and the Gram factor of its frame from
 build_gram_factor, computed once per frame.  The richness constant
 A'_{M,N} = sigma_min(G R^-1)^2 (sampling.richness_estimate) is read off
-the same pair, and it bounds both constants by 1/sqrt(A'_{M,N}).
+the same pair, from the blocks of R and G in long double, and it bounds
+both constants by 1/sqrt(A'_{M,N}).
 diagnose returns one report per cutoff for such a pair and computes A'
 once; constants_sweep is one diagnose call per (gamma, N) cell.
 

@@ -57,9 +57,9 @@ class QuadratureRule:
 # values per block of recurrence coefficients (2n + 1) t (128 KiB of doubles)
 _COEFFICIENT_BLOCK_VALUES = 2**14
 
-# Values per node block of the sums over an hp rule (2 MiB of doubles): N per
-# node for the Gram factor's elements, M for the basis of inner-product data.
-# Either sum is one block when its N or M is at most 74 (41 * 86 nodes).
+# Values per node block of sample()'s sum over an hp rule (2 MiB of doubles),
+# M per node for the basis of inner-product data.  The sum is one block when
+# M is at most 74 (41 * 86 nodes).
 _BLOCK_VALUES = 2**18
 
 

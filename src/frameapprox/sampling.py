@@ -206,12 +206,16 @@ def richness_estimate(system: GramSystem, factor: GramFactor) -> float:
     Returns the smallest value of ||g||_M^2 over functions g in the span
     of the frame's N elements with unit L2 norm: the smallest generalized
     eigenvalue of the pair (G* G, Gram), with G the system matrix and
-    Gram = R* R from the frame's Gram factor.  Requires M >= N.
+    Gram = R* R from the frame's Gram factor, that is sigma_min(G R^-1)^2.
+    G is evaluated again in long double for it.  Requires M >= N.
     """
+    from .gram import _system_matrix  # gram imports this module
+
     _check_factor(system, factor)
     if system.M < system.N:
         raise ValueError("richness estimate requires M >= N")
-    return _richness_from_matrices(system.matrix, factor.R)
+    G = _system_matrix(system.frame, system.scheme, np.longdouble)
+    return _richness_from_matrices(G, factor.R22, factor.C)
 
 
 def _check_factor(system: GramSystem, factor: GramFactor) -> None:
@@ -220,13 +224,24 @@ def _check_factor(system: GramSystem, factor: GramFactor) -> None:
         raise ValueError("factor is not the Gram factor of the system's frame")
 
 
-def _richness_from_matrices(G: np.ndarray, R: np.ndarray) -> float:
-    # R is the triangular Gram factor (R* R = Gram) held by the GramFactor
-    import scipy.linalg
+def _richness_from_matrices(G: np.ndarray, R22: np.ndarray, C: np.ndarray) -> float:
+    """sigma_min(G R^-1)^2 from the blocks of the Gram factor, in long double up to the SVD.
 
-    diag = np.abs(np.diag(R))
-    if np.min(diag) <= np.max(diag) * 1e3 * np.finfo(float).eps:
-        raise np.linalg.LinAlgError("frame Gram numerically rank deficient")
-    X = scipy.linalg.solve_triangular(R, G.T, trans="T", lower=False).T
+    G is the long double M x N system in frame order, [G_Psi, G_Phi].  In
+    the order [Phi, Psi], R = [[I, C], [0, R22]] and R^-1 = [[I, -C R22^-1],
+    [0, R22^-1]], so G R^-1 = [G_Phi, Z] with Z = (G_Psi - G_Phi C) R22^-1:
+    K columns, formed by back substitution.  The difference G_Psi - G_Phi C
+    cancels most of G_Psi, which is why it is taken in long double; only
+    the SVD of [G_Phi, Z] is in double.  For inner products G_Psi and C are
+    rows of the same long double `gram._log_moments`, so the first N - K
+    rows of the difference are exactly 0.  Where np.longdouble is double
+    (Windows, macOS on arm64) the whole route has only double accuracy.
+    """
+    K = R22.shape[0]
+    G_phi = G[:, K:]
+    Z = G[:, :K] - G_phi @ C
+    for l in range(K):
+        Z[:, l] = (Z[:, l] - Z[:, :l] @ R22[:l, l]) / R22[l, l]
+    X = np.concatenate((G_phi, Z), axis=1, dtype=float)
     smallest = np.linalg.svd(X, compute_uv=False)[-1]
     return float(smallest**2)

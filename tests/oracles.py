@@ -1,13 +1,15 @@
 """Brute-force reference computations for the stability constants.
 
 The production code takes the economical route: it applies the N x N
-triangular factor R of the Gram factor (H = QR) to the small
-right-singular blocks and asks for one spectral norm.  These oracles
-instead apply the tall quadrature matrix H itself, build the full
-operator matrices entry by entry and extract the largest eigenvalue of
-the associated quadratic form.  Production never holds H (GramFactor.matrix
-evaluates it again on each read), so the H route here is an independent
-check and agreement is evidence and not tautology.
+closed-form square root R of the continuous Gram (R* R = Gram) to the
+small right-singular blocks and asks for one spectral norm.  These
+oracles instead apply the tall quadrature factor H of the same Gram
+(H* H = Gram to about 1e-13, GramFactor.matrix, evaluated again on each
+read), build the full operator matrices entry by entry and extract the
+largest eigenvalue of the associated quadratic form.  Production never
+evaluates H, so the H route here is an independent check of both the
+closed forms and the algorithm, and agreement is evidence and not
+tautology.
 """
 
 import numpy as np

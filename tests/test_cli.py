@@ -480,12 +480,20 @@ def test_selftest_reports_are_byte_identical():
     assert runs[0].stdout == runs[1].stdout
 
 
-def test_import_loads_no_scipy():
-    # scipy is imported on the first A' only, which keeps start-up short
+def test_import_loads_no_scipy(tmp_path):
+    # scipy is not a dependency: neither the import nor an A' loads it
     code = ("import sys, frameapprox, frameapprox.cli; "
             "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+    out = tmp_path / "constants.csv"
+    code = ("import sys; from frameapprox.cli import main; "
+            f"code = main(['constants', '--K', '5', '--N', '10', '--out', {str(out)!r}]); "
+            "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m); "
+            "sys.exit(code)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_text().splitlines()[1].split(",")[-1] != ""  # a row with its A'
 
 
 def test_import_loads_no_thread_pool():

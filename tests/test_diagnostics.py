@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 import oracles
 from frameapprox import diagnostics, frames, gram, sampling
@@ -188,9 +187,9 @@ def test_sweep_grid_and_ordering():
 
 
 def test_sweep_factors_each_frame_once(monkeypatch):
-    # one QR of H per frame; per (gamma, N) cell one triangular solve for A'
+    # one Gram factor per frame; per (gamma, N) cell one A' from its blocks
     # and one product U* G for the Rayleigh quotients of every cutoff's kappa
-    calls = {"qr": 0, "solve_triangular": 0, "einsum": 0}
+    calls = {"build_gram_factor": 0, "_richness_from_matrices": 0, "einsum": 0}
 
     def counting(module, name):
         real = getattr(module, name)
@@ -201,15 +200,15 @@ def test_sweep_factors_each_frame_once(monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    counting(np.linalg, "qr")
-    counting(scipy.linalg, "solve_triangular")
+    counting(diagnostics, "build_gram_factor")
+    counting(sampling, "_richness_from_matrices")
     counting(np, "einsum")
     rows = diagnostics.constants_sweep(
         lambda n: frames.onb_plus_k(n, 2),
         sampling.legendre_points(),
         gammas=(1.0, 1.5, 2.0, 3.0), Ns=(5, 10), epsilons=(1e-5, 1e-8))
     assert len(rows) == 16
-    assert calls == {"qr": 2, "solve_triangular": 8, "einsum": 8}
+    assert calls == {"build_gram_factor": 2, "_richness_from_matrices": 8, "einsum": 8}
 
 
 def test_ssr_pure_basis_needs_no_oversampling():

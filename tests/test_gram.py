@@ -2,8 +2,10 @@
 
 import tracemalloc
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,20 +23,30 @@ def test_pure_basis_inner_product_system_is_identity_block():
     assert system.M == 14 and system.N == 8
 
 
-def _exact_log_moments(K, M):
-    # <log(x) phi_k, phi_m> from the monomial coefficients of the shifted
-    # Legendre polynomials and int_0^1 log(x) x^i dx = -1 / (i + 1)^2, in
-    # rationals up to the final sqrt(2k + 1) sqrt(2m + 1)
-    coeffs = [[(-1) ** (n + i) * comb(n, i) * comb(n + i, i) for i in range(n + 1)]
-              for n in range(max(K, M))]
-    L = np.empty((K, M))
+@lru_cache(maxsize=None)
+def _exact_log_ratios(K, M):
+    # s[k][m] = <log(x) phi_k, phi_m> / sqrt((2k + 1)(2m + 1)) in rationals, from
+    # the monomial coefficients of the shifted Legendre polynomials and
+    # int_0^1 log(x) x^i dx = -1 / (i + 1)^2
+    coeffs = _monomial_coefficients(max(K, M))
+    s = [[None] * M for _ in range(K)]
     for m in range(M):
         moments = [sum(Fraction(-c, (i + j + 1) ** 2) for j, c in enumerate(coeffs[m]))
                    for i in range(K)]
         for k in range(K):
-            exact = sum(c * moments[i] for i, c in enumerate(coeffs[k]))
-            L[k, m] = float(exact) * np.sqrt((2 * k + 1) * (2 * m + 1))
-    return L
+            s[k][m] = sum(c * moments[i] for i, c in enumerate(coeffs[k]))
+    return s
+
+
+def _monomial_coefficients(n):
+    return [[(-1) ** (d + i) * comb(d, i) * comb(d + i, i) for i in range(d + 1)]
+            for d in range(n)]
+
+
+def _exact_log_moments(K, M):
+    s = _exact_log_ratios(K, M)
+    return np.array([[float(s[k][m]) * np.sqrt((2 * k + 1) * (2 * m + 1)) for m in range(M)]
+                     for k in range(K)])
 
 
 @pytest.mark.parametrize("frame, M", [
@@ -175,49 +187,71 @@ def test_gram_factor_matches_direct_quadrature():
     frame = frames.onb_plus_k(6, 2)
     factor = gram.build_gram_factor(frame)
     G = factor.matrix.T @ factor.matrix
-    rule = factor.rule
+    rule = orthopoly.hp_log_quadrature(levels=40, order=frame.N + 12)
     elems = frames.element_matrix(frame, rule.nodes)
     direct = (elems * rule.weights) @ elems.T
     assert np.abs(G - direct).max() < 1e-13
 
 
-def test_gram_factor_triangular_factor_reproduces_gram():
-    frame = frames.onb_plus_k(20, 5)
-    factor = gram.build_gram_factor(frame)
-    H, R = factor.matrix, factor.R
-    assert R.shape == (20, 20)
-    assert np.array_equal(R, np.triu(R))
-    scale = np.linalg.norm(H, 2) ** 2
-    assert np.abs(R.T @ R - H.T @ H).max() < 1e-13 * scale
-
-
-def test_one_block_factor_is_the_qr_of_the_whole_quadrature_factor():
-    # through N = 60 the rule is one block, so R is bit for bit the one-shot R
-    for N in (20, 60):
-        factor = gram.build_gram_factor(frames.onb_plus_k(N, 5))
-        assert factor.rule.size * N <= orthopoly._BLOCK_VALUES
-        assert np.array_equal(factor.R, np.linalg.qr(factor.matrix, mode="r"))
-
-
-@pytest.mark.parametrize("N", [100, 200])
-def test_blocked_factor_reproduces_gram(N):
+@pytest.mark.parametrize("N", [20, 100, 200])
+def test_factor_reproduces_quadrature_gram(N):
+    # the closed-form R against the quadrature H, an independent route to the Gram
     factor = gram.build_gram_factor(frames.onb_plus_k(N, 5))
     H, R = factor.matrix, factor.R
-    assert factor.rule.size * N > orthopoly._BLOCK_VALUES  # more than one block
     assert factor.N == N and R.shape == (N, N)
-    assert np.array_equal(R, np.triu(R))
     scale = np.linalg.norm(H, 2) ** 2
     assert np.abs(R.T @ R - H.T @ H).max() < 1e-13 * scale
 
 
-def test_blocks_of_fewer_rows_than_elements_give_square_factor(monkeypatch):
-    # above N = 512 a block holds fewer than N nodes, and the first R is trapezoidal
-    monkeypatch.setattr(orthopoly, "_BLOCK_VALUES", 100)
-    factor = gram.build_gram_factor(frames.onb_plus_k(20, 5))
-    H, R = factor.matrix, factor.R
-    assert R.shape == (20, 20)
-    scale = np.linalg.norm(H, 2) ** 2
-    assert np.abs(R.T @ R - H.T @ H).max() < 1e-13 * scale
+@pytest.mark.parametrize("frame", [
+    frames.legendre_onb(6), frames.onb_plus_k(5, 5), frames.onb_plus_k(12, 1),
+    frames.onb_plus_k(60, 5)])
+def test_factor_is_the_identity_on_the_polynomials(frame):
+    # frame order [Psi, Phi]: the rows [C, I] above the rows [R22, 0]
+    factor = gram.build_gram_factor(frame)
+    K, n0 = frame.K, frame.N - frame.K
+    assert np.array_equal(factor.R[:, K:], np.eye(frame.N, n0))
+    assert np.array_equal(factor.R[:n0, :K], factor.C.astype(float))
+    assert np.array_equal(factor.R[n0:, :K], factor.R22.astype(float))
+    assert factor.C.dtype == factor.R22.dtype == np.longdouble
+    assert np.array_equal(factor.R22, np.triu(factor.R22))
+
+
+def _mp(value):
+    # a long double or a Fraction as an exact mpmath number
+    p, q = (value.numerator, value.denominator) if isinstance(value, Fraction) \
+        else value.as_integer_ratio()
+    return mpmath.mpf(p) / q
+
+
+@pytest.mark.parametrize("K", [1, 5])
+@pytest.mark.parametrize("N", [5, 7, 10, 60, 200])
+def test_factor_blocks_match_exact_rationals(N, K):
+    # C = L[:K, :N - K]* and R22* R22 = W = Psi* Psi - C* C, with Psi* Psi from
+    # int_0^1 log(x)^2 x^i dx = 2 / (i + 1)^3, all in rationals
+    frame = frames.onb_plus_k(N, K)
+    factor = gram.build_gram_factor(frame)
+    n0, s = N - K, _exact_log_ratios(5, 199)
+    norm = Fraction(1, 2) if frame.normalize_psi else 1
+    coeffs = _monomial_coefficients(K)
+    tol = 100 * np.finfo(np.longdouble).eps
+    W = factor.R22.T @ factor.R22
+    with mpmath.workdps(40):
+        for j in range(n0):
+            for k in range(K):
+                exact = mpmath.sqrt(norm * (2 * k + 1) * (2 * j + 1)) * _mp(s[k][j])
+                assert abs(_mp(factor.C[j, k]) - exact) <= tol * abs(exact)
+        exact = [[None] * K for _ in range(K)]
+        for k in range(K):
+            for l in range(K):
+                psi = sum(a * b * Fraction(2, (i + i2 + 1) ** 3)
+                          for i, a in enumerate(coeffs[k]) for i2, b in enumerate(coeffs[l]))
+                tail = psi - sum((2 * j + 1) * s[k][j] * s[l][j] for j in range(n0))
+                exact[k][l] = mpmath.sqrt((2 * k + 1) * (2 * l + 1)) * _mp(norm * tail)
+        for k in range(K):
+            for l in range(K):
+                scale = mpmath.sqrt(exact[k][k] * exact[l][l])
+                assert abs(_mp(W[k, l]) - exact[k][l]) <= tol * scale
 
 
 def test_factor_keeps_no_array_larger_than_r():

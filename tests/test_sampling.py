@@ -154,6 +154,29 @@ def test_richness_regression_enriched_gauss_points():
     assert value == pytest.approx(2.3898798895513e-4, rel=1e-6)
 
 
+@pytest.mark.parametrize("scheme, value", [
+    (sampling.legendre_point_scheme(80), 2.4855107456829e-5),
+    (sampling.legendre_point_scheme(180), 2.2493656140048e-3),
+    (sampling.equispaced_point_scheme(50), 1.2848908603915e-14),
+], ids=["legendre-40-80", "legendre-60-180", "equispaced-25-50"])
+def test_richness_at_points_matches_frozen_oracle(scheme, value):
+    # 45-digit oracle: mpmath elements at the double nodes and scales, taken
+    # as exact, against the exact Gram of the closed forms; a double G
+    # misses these by 1e-2 and more
+    N = {80: 40, 180: 60, 50: 25}[scheme.M]
+    assert _richness(frames.onb_plus_k(N, 5), scheme) == pytest.approx(value, rel=1e-4, abs=0)
+
+
+def test_inner_product_psi_rows_cancel_against_the_factor():
+    # G_Psi - G_Phi C vanishes exactly on the first N - K rows, because both
+    # come from the same long double log moments
+    frame = frames.onb_plus_k(20, 5)
+    C = gram.build_gram_factor(frame).C
+    G = gram._system_matrix(frame, sampling.inner_product_scheme(40), np.longdouble)
+    Y = G[:, :5] - G[:, 5:] @ C
+    assert np.all(Y[:15] == 0) and np.all(Y[15:] != 0)
+
+
 def test_richness_increases_with_oversampling():
     frame = frames.onb_plus_k(10, 5)
     values = [
