@@ -13,8 +13,11 @@ for script in scripts/run_*.py; do
   python "$script" "$out"
 done
 python -m frameapprox.cli selftest --seed 0 > "$out/selftest.txt"
-# no preset reaches a second node block of the Gram factor, nor an
-# inner-product system at N = 60
+# no preset reaches N = 100 or 200, where the Gram factor's tail Gram is
+# most ill conditioned and the search takes the most steps, nor an
+# inner-product system at N = 60; the file names date from when these runs
+# covered the Gram factor's node blocks, and stay so that outputs of older
+# commits compare by name
 python -m frameapprox.cli ssr --K 5 --nodes legendre --theta 2 --N 100:100:200 \
   --eps 1e-5 --out "$out/ssr_node_blocks.csv"
 python -m frameapprox.cli constants --K 5 --nodes inner --N 60 --gammas 1,2 \

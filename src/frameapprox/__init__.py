@@ -10,7 +10,6 @@ from .orthopoly import (
     legendre_table,
 )
 from .frames import (
-    CoefficientVector,
     FrameSpec,
     element_matrix,
     legendre_onb,

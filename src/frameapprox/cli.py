@@ -25,6 +25,10 @@ from . import diagnostics, frames, gram, orthopoly, sampling, solver
 DEFAULT_PROBES = (0.2, 0.5, 0.9, 1.0)
 # largest sampled system M x N the CLI builds: 2^27 values, 1 GiB of doubles
 MAX_SYSTEM_VALUES = 2**27
+# largest K whose Gram factor constants and ssr build: at N = 11585, the
+# largest N that MAX_SYSTEM_VALUES admits, one factor took 0.6 s at K = 20
+# and 5 s at K = 32 on a 2-core x86-64 VM, its time doubling every 4 in K
+MAX_FACTOR_K = 20
 
 _SCHEME_FAMILIES = {
     "chebyshev": sampling.chebyshev_points(),
@@ -128,7 +132,6 @@ class ExperimentConfig:
     experiment: str
     frame: str = "onbk"
     K: int = 1
-    normalize_psi: Optional[bool] = None
     nodes: str = "chebyshev"
     N_values: range = range(0)
     M_values: range = range(0)
@@ -166,9 +169,9 @@ class ExperimentConfig:
 
     def frame_for(self, N: int) -> frames.FrameSpec:
         try:
-            if self.frame == "onb" or self.K == 0:
+            if self.frame == "onb":
                 return frames.legendre_onb(N)
-            return frames.onb_plus_k(N, self.K, normalize_psi=self.normalize_psi)
+            return frames.onb_plus_k(N, self.K)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 
@@ -197,18 +200,6 @@ def _read_config_file(path: str) -> dict:
     return entries
 
 
-def _parse_switch(text: str) -> Optional[bool]:
-    """Parse normalize_psi: auto (or empty), on, or off."""
-    lowered = text.lower()
-    if lowered in ("auto", ""):
-        return None
-    if lowered in ("1", "true", "on", "yes"):
-        return True
-    if lowered in ("0", "false", "off", "no"):
-        return False
-    raise ConfigError(f"could not parse normalize_psi value {text!r}")
-
-
 # config key -> (ExperimentConfig field, parser of its text); a flag and a
 # config file entry go through the same parser, and a key given neither way
 # leaves the field at its default
@@ -216,7 +207,6 @@ _CONFIG_KEYS = {
     "experiment": ("experiment", str),
     "frame": ("frame", str),
     "K": ("K", int),
-    "normalize_psi": ("normalize_psi", _parse_switch),
     "nodes": ("nodes", str),
     "N": ("N_values", _parse_int_range),
     "M": ("M_values", _parse_int_range),
@@ -257,10 +247,8 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
         except ValueError:
             raise ConfigError(f"could not parse {key} value {text!r}") from None
     # checked on the keys given, since K defaults to 1 for the enriched frame
-    if settings.get("frame") == "onb" and (
-        settings.get("K") or settings.get("normalize_psi") is not None
-    ):
-        raise ConfigError("frame onb has no enrichment: K must be 0 and normalize_psi unset")
+    if settings.get("frame") == "onb" and settings.get("K"):
+        raise ConfigError("frame onb has no enrichment: K must be 0")
     return ExperimentConfig(**settings)
 
 
@@ -347,10 +335,16 @@ def run_oversampling(cfg: ExperimentConfig) -> Path:
     return path
 
 
+def _require_factor_k(cfg: ExperimentConfig) -> None:
+    if cfg.K > MAX_FACTOR_K:
+        raise ConfigError(f"{cfg.experiment} takes K up to {MAX_FACTOR_K}, got {cfg.K}")
+
+
 def run_constants(cfg: ExperimentConfig) -> Path:
     """Stability constants over a (gamma, N, epsilon) grid."""
     Ns = cfg.N_values
     N_max = _require_sweep(Ns, "N")
+    _require_factor_k(cfg)
     for gamma in cfg.gammas:
         if not 1 <= gamma < math.inf:
             raise ConfigError(f"gamma must be finite and at least 1, got {gamma}")
@@ -372,6 +366,7 @@ def run_ssr(cfg: ExperimentConfig) -> Path:
     Ns = cfg.N_values
     N_max = _require_sweep(Ns, "N")
     _system_rows(N_max, N_max)  # the first and smallest system of the largest search
+    _require_factor_k(cfg)
     family = cfg.scheme_family()
     rows = []
     for N in Ns:
@@ -458,7 +453,7 @@ def _check_tsvd_cutoff():
     sol = solver.truncated_svd_solve(system, np.ones(3), epsilon=1.0)
     exact = solver.truncated_svd_solve(system, np.ones(3), epsilon=0.25)
     ok = sol.kept_rank == 1 and exact.kept_rank == 3
-    ok = ok and np.allclose(exact.coefficients.values, [0.5, 1.0, 2.0])
+    ok = ok and np.allclose(exact.coefficients, [0.5, 1.0, 2.0])
     return ok, f"kept {sol.kept_rank} at tie, {exact.kept_rank} below"
 
 
@@ -470,7 +465,7 @@ def _check_projection_orthogonality():
     )
     kept = system.matrix @ system.Vt[: sol.kept_rank].T
     y = sampling.sample(system.scheme, frames.target_function).values
-    residual = y - system.matrix @ sol.coefficients.values
+    residual = y - system.matrix @ sol.coefficients
     dev = np.abs(kept.T @ residual).max()
     return dev < 1e-9, f"max dev {dev:.3e}"
 
@@ -546,8 +541,6 @@ _PARSER.add_argument("experiment", choices=_EXPERIMENTS, metavar="experiment",
 _PARSER.add_argument("--frame", choices=("onbk", "onb"),
                      help="frame family: enriched (onbk) or plain polynomial (onb)")
 _PARSER.add_argument("--K", help="number of enrichment elements")
-_PARSER.add_argument("--normalize-psi", dest="normalize_psi",
-                     help="normalize the K=1 enrichment element: auto, on, off")
 _PARSER.add_argument("--nodes", choices=_SCHEME_FAMILIES, help="sampling scheme family")
 _PARSER.add_argument("--N", help="N value or start:step:stop sweep")
 _PARSER.add_argument("--M", help="M value or start:step:stop sweep")

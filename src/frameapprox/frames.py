@@ -1,15 +1,15 @@
 """Truncated frames on [0, 1]: a Legendre basis optionally enriched by weighted copies.
 
-The shipped frames are the Legendre orthonormal basis itself and its
-enrichment by K weighted elements psi_k = w(x) phi_k(x) with w(x) = log(x).
-Elements are ordered enrichments first: indices 0..K-1 are the psi_k and
-indices K..N-1 are the polynomials phi_0, ..., phi_{N-K-1}.
+A frame is fixed by (K, N): the Legendre orthonormal basis (K = 0) or its
+enrichment by K weighted elements psi_k = w(x) phi_k(x) with w(x) = log(x),
+the single enrichment (K = 1) normalized to unit norm.  Elements are
+ordered enrichments first: indices 0..K-1 are the psi_k and indices
+K..N-1 are the polynomials phi_0, ..., phi_{N-K-1}.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -17,7 +17,6 @@ from .orthopoly import _as_nodes, legendre_table
 
 __all__ = [
     "FrameSpec",
-    "CoefficientVector",
     "legendre_onb",
     "onb_plus_k",
     "element_matrix",
@@ -35,20 +34,22 @@ class FrameSpec:
 
     B_upper bounds the upper frame constant of the full (infinite) system
     the truncation is drawn from, not of the truncation itself; it follows
-    from K and normalize_psi.
+    from K.
     """
 
     K: int
     N: int
-    normalize_psi: bool = False
 
     def __post_init__(self):
         if self.N < 1:
             raise ValueError("N must be >= 1")
         if self.K < 0 or self.K > self.N:
             raise ValueError("K must satisfy 0 <= K <= N")
-        if self.normalize_psi and self.K > 1:
-            raise ValueError("normalization is only defined for the single-element enrichment")
+
+    @property
+    def normalize_psi(self) -> bool:
+        """Whether psi_0 is scaled to unit norm: only the single enrichment is."""
+        return self.K == 1
 
     @property
     def max_poly_degree(self) -> int:
@@ -67,36 +68,14 @@ def legendre_onb(N: int) -> FrameSpec:
     return FrameSpec(K=0, N=N)
 
 
-def onb_plus_k(N: int, K: int, normalize_psi: Optional[bool] = None) -> FrameSpec:
+def onb_plus_k(N: int, K: int) -> FrameSpec:
     """Legendre basis enriched by K weighted elements psi_k = log(x) phi_k.
 
-    With K = 1 the single enrichment is normalized by default, giving frame
-    bounds A = 1, B = 2; for K >= 2 the enrichments are kept unnormalized
-    and B <= 1 + ||log||^2 K^2.  K = 0 falls back to the pure basis.
+    With K = 1 the single enrichment is normalized, giving frame bounds
+    A = 1, B = 2; for K >= 2 the enrichments are kept unnormalized and
+    B <= 1 + ||log||^2 K^2.  K = 0 is the pure basis.
     """
-    if K == 0:
-        return legendre_onb(N)
-    if K > N:
-        raise ValueError("K must be <= N")
-    if normalize_psi is None:
-        normalize_psi = K == 1
-    return FrameSpec(K=K, N=N, normalize_psi=normalize_psi)
-
-
-@dataclass
-class CoefficientVector:
-    """Coefficients of a function expressed in a truncated frame."""
-
-    values: np.ndarray
-    frame: FrameSpec
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.frame.N,):
-            raise ValueError("coefficient length must equal frame.N")
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.values))
+    return FrameSpec(K=K, N=N)
 
 
 def element_matrix(frame: FrameSpec, x) -> np.ndarray:
@@ -125,10 +104,13 @@ def element_matrix(frame: FrameSpec, x) -> np.ndarray:
     return out
 
 
-def synthesize(coeffs: CoefficientVector, x):
+def synthesize(frame: FrameSpec, coefficients, x):
     """Evaluate the frame expansion sum_j c_j elem_j at the points x."""
+    coefficients = np.asarray(coefficients, dtype=float)
+    if coefficients.shape != (frame.N,):
+        raise ValueError("coefficient length must equal frame.N")
     x_arr = np.asarray(x, dtype=float)
-    vals = coeffs.values @ element_matrix(coeffs.frame, x_arr.ravel())
+    vals = coefficients @ element_matrix(frame, x_arr.ravel())
     if x_arr.ndim == 0:
         return float(vals[0])
     return vals.reshape(x_arr.shape)

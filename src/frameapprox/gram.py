@@ -169,9 +169,11 @@ def build_gram_factor(frame: FrameSpec) -> GramFactor:
     (`_log_moment_ratio`).  W is so ill conditioned (its pivots fall to
     about 1e-37 at N = 200) that no floating-point Cholesky factor of it
     holds, so R22 comes from an exact LDL* of the integer matrix Q S by
-    fraction-free (Bareiss) elimination, each entry rounded once.  The cost
-    is O(NK + K^3) with no quadrature.  The normalized single enrichment
-    scales psi_0's column of C and of R22 by 1 / sqrt(2).
+    fraction-free (Bareiss) elimination, each entry rounded once.  With no
+    quadrature the cost is O(N^2) to fill R and O(NK) for C, plus O(K^3)
+    operations on integers of O(K^2 log N) bits for R22, which dominate as
+    K grows (cli.MAX_FACTOR_K).  The normalized single enrichment scales
+    psi_0's column of C and of R22 by 1 / sqrt(2).
     """
     K, N = frame.K, frame.N
     n0 = N - K

@@ -17,14 +17,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
-from .frames import CoefficientVector, FrameSpec, element_matrix, synthesize
+from .frames import FrameSpec, element_matrix, synthesize
 from .gram import GramSystem, build_system
 from .orthopoly import QuadratureRule, hp_log_quadrature
-from .sampling import DataVector, SamplingScheme, SchemeFamily, SchemeKind, sample
+from .sampling import DataVector, SchemeFamily, SchemeKind, sample
 
 __all__ = [
     "RegularizedSolution",
@@ -50,7 +50,7 @@ class RegularizedSolution:
     vectors, so it is orthogonal to every discarded direction.
     """
 
-    coefficients: CoefficientVector
+    coefficients: np.ndarray
     epsilon: float
     kept_rank: int
     residual_discrete: float
@@ -65,7 +65,7 @@ class Approximant:
     frame: FrameSpec
 
     def __call__(self, x):
-        return synthesize(self.solution.coefficients, x)
+        return synthesize(self.frame, self.solution.coefficients, x)
 
 
 class BoundCheck(NamedTuple):
@@ -93,11 +93,8 @@ def truncated_svd_solve(
         projected = system.U[:, :kept_rank].T @ values
         coeffs = system.Vt[:kept_rank].T @ (projected / s[:kept_rank])
     residual = float(np.linalg.norm(system.matrix @ coeffs - values))
-    frame = system.frame
-    if frame is None:
-        frame = _anonymous_frame(system.N)
     return RegularizedSolution(
-        coefficients=CoefficientVector(values=coeffs, frame=frame),
+        coefficients=coeffs,
         epsilon=epsilon,
         kept_rank=kept_rank,
         residual_discrete=residual,
@@ -105,26 +102,15 @@ def truncated_svd_solve(
     )
 
 
-def _anonymous_frame(N: int) -> FrameSpec:
-    from .frames import legendre_onb
-
-    return legendre_onb(N)
-
-
 def approximate(
     f,
     frame: FrameSpec,
-    scheme: Union[SamplingScheme, SchemeFamily],
-    M: Optional[int] = None,
+    family: SchemeFamily,
+    M: int,
     epsilon: float = DEFAULT_EPSILON,
 ) -> Approximant:
-    """Sample f, build the frame system, and solve with truncation at epsilon."""
-    if isinstance(scheme, SchemeFamily):
-        if M is None:
-            raise ValueError("M is required when a scheme family is given")
-        scheme = scheme.realize(M)
-    elif M is not None and M != scheme.M:
-        raise ValueError("M disagrees with scheme.M")
+    """Sample f on family.realize(M), build the frame system, and solve at cutoff epsilon."""
+    scheme = family.realize(M)
     system = build_system(frame, scheme)
     solution = truncated_svd_solve(system, sample(scheme, f), epsilon)
     return Approximant(solution=solution, frame=frame)
@@ -151,7 +137,7 @@ def error_report(approx: Approximant, f, probe_points) -> ErrorReport:
         errors=errors,
         max_error=float(np.max(errors)),
         residual_discrete=sol.residual_discrete,
-        coefficient_norm=sol.coefficients.norm(),
+        coefficient_norm=float(np.linalg.norm(sol.coefficients)),
     )
 
 
@@ -188,7 +174,7 @@ def verify_error_bound(approx: Approximant, f, z, kappa: float, lam: float) -> B
         raise ValueError("comparison vector length must equal the frame size")
     rule = _verification_rule(sol.system.N)
     cont, disc, fvals = _comparison_norms(sol.system, f, z, rule)
-    avals = synthesize(sol.coefficients, rule.nodes)
+    avals = synthesize(approx.frame, sol.coefficients, rule.nodes)
     lhs = float(np.sqrt(rule.weights @ ((fvals - avals) ** 2)))
     eps_term = sol.epsilon * lam * float(np.linalg.norm(z))
     if sol.system.scheme.kind is SchemeKind.BASIS_INNER_PRODUCTS:
@@ -207,6 +193,6 @@ def verify_coefficient_bound(solution: RegularizedSolution, f, z) -> BoundCheck:
         raise ValueError("comparison vector length must equal the frame size")
     y_f = sample(solution.system.scheme, f).values
     disc = float(np.linalg.norm(y_f - solution.system.matrix @ z))
-    lhs = solution.coefficients.norm()
+    lhs = float(np.linalg.norm(solution.coefficients))
     rhs = disc / solution.epsilon + float(np.linalg.norm(z))
     return BoundCheck(holds=lhs <= rhs, slack=rhs - lhs, lhs=lhs, rhs=rhs)

@@ -190,14 +190,13 @@ def test_criterion_09_discrete_projection_structure():
         r = sol.kept_rank
         # brute force: synthesize each right singular vector and resample it
         xi_samples = np.column_stack([
-            sampling.sample(scheme, lambda x: frames.synthesize(
-                frames.CoefficientVector(system.Vt[n], frame), x)).values
+            sampling.sample(scheme, lambda x: frames.synthesize(frame, system.Vt[n], x)).values
             for n in range(system.N)
         ])
         pair = xi_samples.T @ xi_samples
         s = system.singular_values
         worst_pair = max(worst_pair, np.abs(pair - np.diag(s ** 2)).max())
-        residual = y.values - system.matrix @ sol.coefficients.values
+        residual = y.values - system.matrix @ sol.coefficients
         if r:
             worst_resid = max(worst_resid, np.abs(xi_samples[:, :r].T @ residual).max())
     ok = worst_pair < 1e-9 and worst_resid < 1e-9

@@ -118,9 +118,10 @@ def test_single_approx_summary(tmp_path, capsys):
     ["bogus_experiment"],
     ["pointwise_error", "--N", "5", "--nodes", "hermite"],
     ["pointwise_error", "--N", "5:5:10", "--K", "10"],  # K exceeds an N
-    ["pointwise_error", "--N", "10", "--K", "3", "--normalize-psi", "on"],
     ["pointwise_error", "--frame", "onb", "--N", "10", "--K", "3"],
-    ["pointwise_error", "--frame", "onb", "--N", "10", "--normalize-psi", "on"],
+    # the Gram factor's exact elimination grows steeply with K
+    ["constants", "--K", "100", "--N", "210", "--gammas", "1"],
+    ["ssr", "--K", "100", "--N", "210"],
     # schemas without an eps column take one cutoff
     ["pointwise_error", "--N", "5", "--eps", "1e-5,1e-8"],
     ["oversampling", "--N", "10", "--M", "10:10:20", "--eps", "1e-5,1e-8"],
@@ -222,9 +223,9 @@ def test_second_main_call_builds_no_parser(tmp_path, monkeypatch):
       "--out", "pe.csv"],
      cli.ExperimentConfig("pointwise_error", K=5, N_values=range(5, 21, 5), M_rule="1.5N",
                           epsilons=[2e-13], probes=[0.2, 0.5, 0.9], out=Path("pe.csv"))),
-    (["oversampling", "--K", "2", "--normalize-psi", "off", "--N", "46",
+    (["oversampling", "--K", "2", "--N", "46",
       "--nodes", "legendre", "--M", "40:40:200", "--seed", "3"],
-     cli.ExperimentConfig("oversampling", K=2, normalize_psi=False, nodes="legendre",
+     cli.ExperimentConfig("oversampling", K=2, nodes="legendre",
                           N_values=range(46, 47), M_values=range(40, 201, 40), seed=3)),
     (["constants", "--K", "5", "--eps", "1e-5,1e-8", "--gammas", "1,1.5,2,3",
       "--nodes", "equispaced", "--N", "5:5:20"],

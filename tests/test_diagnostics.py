@@ -62,10 +62,10 @@ def test_constants_reject_a_nonpositive_or_nonfinite_epsilon(eps):
 
 
 def test_factor_of_another_weight_is_rejected():
-    # the two frames have the same N and K and differ only in whether
-    # their weighted element is normalized
+    # the two frames have the same N and differ in the number of weighted
+    # elements, so the normalized psi_0 of the first is unnormalized in the second
     frame = frames.onb_plus_k(10, 1)
-    other = frames.onb_plus_k(10, 1, normalize_psi=False)
+    other = frames.onb_plus_k(10, 2)
     assert frame != other
     assert frame == frames.onb_plus_k(10, 1)
     assert hash(frame) == hash(frames.onb_plus_k(10, 1))

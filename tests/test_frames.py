@@ -14,8 +14,14 @@ def test_frame_validation():
         frames.onb_plus_k(5, 6)  # more enrichment elements than slots
     with pytest.raises(ValueError):
         frames.onb_plus_k(0, 0)
-    with pytest.raises(ValueError):
-        frames.onb_plus_k(10, 3, normalize_psi=True)  # normalization is a K=1 device
+    assert frames.onb_plus_k(10, 0) == frames.legendre_onb(10)
+
+
+def test_frame_is_fixed_by_k_and_n():
+    # the single enrichment is normalized however the frame is made
+    frame = frames.FrameSpec(K=1, N=10)
+    assert frame == frames.onb_plus_k(10, 1)
+    assert frame.B_upper == frames.onb_plus_k(10, 1).B_upper == 2.0
 
 
 def test_frame_bounds_metadata():
@@ -108,19 +114,18 @@ def test_synthesis_is_linear(data):
     c2 = np.array(data.draw(st.lists(st.floats(-3, 3), min_size=N, max_size=N)))
     a = data.draw(st.floats(-2, 2))
     x = np.linspace(0.1, 1.0, 5)
-    lhs = frames.synthesize(frames.CoefficientVector(a * c1 + c2, frame), x)
-    rhs = a * frames.synthesize(frames.CoefficientVector(c1, frame), x) \
-        + frames.synthesize(frames.CoefficientVector(c2, frame), x)
+    lhs = frames.synthesize(frame, a * c1 + c2, x)
+    rhs = a * frames.synthesize(frame, c1, x) + frames.synthesize(frame, c2, x)
     scale = 1.0 + np.abs(c1).sum() + np.abs(c2).sum()
     assert np.abs(lhs - rhs).max() < 1e-9 * scale
 
 
-def test_coefficient_vector_norm_and_validation():
-    frame = frames.legendre_onb(3)
-    vec = frames.CoefficientVector(np.array([3.0, 0.0, 4.0]), frame)
-    assert abs(vec.norm() - 5.0) < 1e-15
-    with pytest.raises(ValueError):
-        frames.CoefficientVector(np.zeros(4), frame)
+def test_synthesize_rejects_coefficients_of_another_length():
+    frame = frames.onb_plus_k(3, 1)
+    x = np.linspace(0.1, 1.0, 4)
+    for coeffs in (np.zeros(frame.N + 1), np.zeros(frame.N - 1), np.zeros((1, frame.N))):
+        with pytest.raises(ValueError):
+            frames.synthesize(frame, coeffs, x)
 
 
 def test_target_function_values():
@@ -139,5 +144,4 @@ def test_subframe_capture_of_target_singularity():
     x = np.linspace(0.05, 1.0, 40)
     coeffs = np.zeros(6)
     coeffs[0] = np.sqrt(2.0)
-    assert np.abs(frames.synthesize(frames.CoefficientVector(coeffs, frame), x)
-                  - np.log(x)).max() < 1e-13
+    assert np.abs(frames.synthesize(frame, coeffs, x) - np.log(x)).max() < 1e-13
