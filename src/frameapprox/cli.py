@@ -15,6 +15,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
+from functools import cache
 from pathlib import Path
 from typing import Callable, List, Optional, Sequence
 
@@ -570,12 +571,14 @@ _RUNNERS = {
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
+@cache
 def _openblas_thread_calls():
     """(get, set) thread-count functions of numpy's OpenBLAS, or None.
 
     None for any other BLAS or when the symbols are missing.  The symbols
     are looked up through numpy's own linalg extension, which is loaded
-    and links the BLAS, so this loads no library.
+    and links the BLAS, so this loads no library.  The lookup is made once
+    per process: the BLAS a process has loaded does not change.
     """
     try:
         config = np.show_config(mode="dicts")
@@ -604,7 +607,8 @@ def _one_blas_thread():
 
     The matrices here are at most a few thousand by a few hundred, where
     BLAS threads cost more than they save.  A thread count the user
-    exported in OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is left alone.
+    exported in OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is left alone; the
+    environment is read on every call, since it may change between calls.
     """
     exported = any(os.environ.get(name) for name in _BLAS_THREAD_VARS)
     calls = None if exported else _openblas_thread_calls()

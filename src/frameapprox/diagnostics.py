@@ -53,15 +53,32 @@ z = V_r V_r* z + V_d V_d* z, and since ||Sigma_r V_r* z|| <= ||G z||,
 So a z with ||R z|| > theta (||G z|| + eps ||z||) proves max(kappa,
 lambda) > theta.  The witnesses are the last kept and the first discarded
 right singular vectors of the last step evaluated in full, the directions
-that carry kappa and lambda there.  Each later step assembles only G and
+that carry kappa and lambda there.
+
+The grid is scanned in chunks of consecutive steps: as many as fit in
+_CHUNK_VALUES (2^14) stacked matrix values, and always at least one.  A
+chunk's matrices come from one _system_matrix call: on one point scheme
+whose nodes and scales are those of its steps, concatenated, or as row
+prefixes of the inner-product matrix of the chunk's largest M.  Every
+entry is formed elementwise, so each step's block is its G to the bit.
+One witness test covers all remaining steps of the chunk at once: a step
 fails without an SVD when, for some witness z,
 
-    ||R z|| > theta (1 + delta) (||G z|| + eps ||z||);
+    ||R z|| > theta (1 + delta) (||G z|| + eps ||z||),
 
-otherwise it takes the full route: the SVD, kappa, and lambda if kappa
-passes.  The margin delta makes the test imply that the full route, in
-floating point, would fail the step too, so M_theta is unchanged by
-construction.  With u = 2^-52, numpy's machine epsilon, and
+with ||G||_F and ||G z|| summed over the step's own segment of rows.  The
+scan jumps to the first step not ruled out, which takes the full route
+on its rows of the chunk: the SVD, kappa, lambda if kappa passes, and
+new witnesses, tested against the rest of the chunk.  The margin
+delta makes the test imply that the full route, in floating point, would
+fail the step too, so M_theta is unchanged by construction.  The chunk
+that holds M_theta is built whole, so a search evaluates at most the rest
+of it past M_theta: fewer than _CHUNK_VALUES / N^2 steps, each sampled but
+given no SVD, and none once every chunk is a single step (N >= 90 at
+the default stride).  For Legendre points those steps' rules enter the
+cache of _gauss_legendre_cached on the first search and are hits after.
+
+With u = 2^-52, numpy's machine epsilon, and
 
     x = (M + N) sqrt(N) u (1 + (||G||_F + ||R||_F) / eps),
 
@@ -91,6 +108,15 @@ At Legendre points with K = 5, delta is 1.6e-2 at eps = 1e-8, N = 60,
 M = 270 and 8e-5 at eps = 1e-5, N = 200, M = 360.  At eps = 1e-14 and
 N = 12 it exceeds 1e30, far above ||R z|| / (eps ||z||) <= ||R|| / eps,
 so no step is ruled out there.
+
+The witness test sums squares over segments of stacked rows, not as
+np.linalg.norm of each step's matrix, and that changes none of the
+count.  A sum of M nonnegative terms is within a relative (M - 1) u of
+its exact value whatever the order of the additions; with the rounding
+of the squares and of the square root, the norm of a segment of G z is
+within a relative (M / 2 + 1) u, below x, and stays one of the 5 factors
+above.  ||G||_F enters only x, where its rounding moves delta at second
+order.
 """
 
 from __future__ import annotations
@@ -118,6 +144,10 @@ __all__ = [
 
 # relative tolerance of DiagnosticsReport.bound_violations on each a-priori cap
 _BOUND_REL_SLACK = 1e-9
+
+# stacked matrix values per chunk of stable_sampling_rate's grid steps
+# (128 KiB of doubles); a step larger than this is a chunk of its own
+_CHUNK_VALUES = 2**14
 
 
 def _check_epsilon(epsilon: float) -> None:
@@ -217,8 +247,11 @@ def stable_sampling_rate(
 ) -> Optional[int]:
     """Smallest M >= frame.N on the search grid with max(kappa, lambda) <= theta.
 
-    Returns None when the grid is exhausted without a hit; raises ValueError
-    for a theta not above 1, a stride below 1 or an M_max below frame.N.
+    The grid M = N, N + stride, ..., M_max is scanned in chunks of
+    consecutive steps, each holding at most _CHUNK_VALUES stacked matrix
+    values or a single step (module docstring).  Returns None when the grid
+    is exhausted without a hit; raises ValueError for a theta not above 1,
+    a stride below 1 or an M_max below frame.N.
     """
     if not theta > 1.0:  # also rejects nan
         raise ValueError("theta must be > 1")
@@ -235,41 +268,89 @@ def stable_sampling_rate(
 
     factor = build_gram_factor(frame)
     R_norm = np.linalg.norm(factor.R)
+    grid = range(N, M_max + 1, stride)
     witnesses = None
-    for M in range(N, M_max + 1, stride):
-        scheme = scheme_family.realize(M)
-        matrix = _system_matrix(frame, scheme)
-        if witnesses is not None and _witness_fails(matrix, R_norm, witnesses, theta, epsilon):
-            continue
-        system = GramSystem.from_matrix(matrix, frame=frame, scheme=scheme)
-        # lambda cannot rescue a step that kappa alone fails, so it is
-        # only computed when kappa passes
-        if (compute_kappa(system, factor, epsilon) <= theta
-                and compute_lambda(system, factor, epsilon) <= theta):
-            return M
-        r = system.kept_rank(epsilon)
-        Z = system.Vt[max(r - 1, 0):r + 1].T
-        # ||R z|| and eps ||z|| hold until the witnesses are refreshed
-        witnesses = Z, np.linalg.norm(factor.R @ Z, axis=0), epsilon * np.linalg.norm(Z, axis=0)
+    first = 0
+    while first < len(grid):
+        # the chunk: steps first, ..., last - 1
+        last, rows = first + 1, grid[first]
+        while last < len(grid) and (rows + grid[last]) * N <= _CHUNK_VALUES:
+            rows += grid[last]
+            last += 1
+        G = _stacked_matrix(frame, scheme_family, grid[first:last])
+        Ms = np.array(grid[first:last])
+        starts = np.cumsum(Ms) - Ms
+        step = 0
+        while step < Ms.size:
+            if witnesses is not None:
+                open_steps = np.flatnonzero(~_ruled_out(
+                    G[starts[step]:], Ms[step:], R_norm, witnesses, theta, epsilon))
+                if open_steps.size == 0:
+                    break
+                step += int(open_steps[0])
+            M = int(Ms[step])
+            system = GramSystem.from_matrix(G[starts[step]:starts[step] + M], frame=frame,
+                                            scheme=scheme_family.realize(M))
+            # lambda cannot rescue a step that kappa alone fails, so it is
+            # only computed when kappa passes
+            if (compute_kappa(system, factor, epsilon) <= theta
+                    and compute_lambda(system, factor, epsilon) <= theta):
+                return M
+            r = system.kept_rank(epsilon)
+            Z = system.Vt[max(r - 1, 0):r + 1].T
+            # ||R z|| and eps ||z|| hold until the witnesses are refreshed
+            witnesses = (Z, np.linalg.norm(factor.R @ Z, axis=0),
+                         epsilon * np.linalg.norm(Z, axis=0))
+            step += 1
+        first = last
     return None
 
 
-def _witness_fails(
-    G: np.ndarray, R_norm: float, witnesses: Tuple[np.ndarray, np.ndarray, np.ndarray],
-    theta: float, epsilon: float,
-) -> bool:
-    """True when a witness z has ||R z|| > theta (1 + delta)(||G z|| + eps ||z||).
+def _stacked_matrix(frame: FrameSpec, scheme_family: SchemeFamily, Ms: Sequence[int]) -> np.ndarray:
+    """The family's matrices at each M in Ms, stacked by rows, from one _system_matrix call.
 
-    Such a z proves max(kappa, lambda) > theta for the system G, with the
-    margin delta of the module docstring.  R_norm is ||R||_F; witnesses
-    holds the z as columns of Z with their ||R z|| and eps ||z||.
+    Point schemes are evaluated as one scheme on their concatenated nodes
+    and scales.  Inner-product matrices are row prefixes of the one at the
+    largest M, the last (_log_moments), and no other M is realized.  Every
+    entry is formed elementwise from its own node or index, so each block
+    equals the matrix of its M built alone, to the bit.
+    """
+    last = scheme_family.realize(Ms[-1])
+    if last.kind is SchemeKind.BASIS_INNER_PRODUCTS:
+        G = _system_matrix(frame, last)
+        return np.concatenate([G[:M] for M in Ms])
+    schemes = [scheme_family.realize(M) for M in Ms[:-1]] + [last]
+    stacked = SamplingScheme(
+        kind=SchemeKind.WEIGHTED_POINT_VALUES,
+        M=sum(Ms),
+        nodes=np.concatenate([scheme.nodes for scheme in schemes]),
+        scales=np.concatenate([scheme.scales for scheme in schemes]),
+    )
+    return _system_matrix(frame, stacked)
+
+
+def _ruled_out(
+    G: np.ndarray, Ms: np.ndarray, R_norm: float,
+    witnesses: Tuple[np.ndarray, np.ndarray, np.ndarray], theta: float, epsilon: float,
+) -> np.ndarray:
+    """For each step stacked in G, whether a witness rules it out.
+
+    G stacks the steps' matrices by rows, Ms[i] rows for step i.  A step is
+    ruled out when a witness z has ||R z|| > theta (1 + delta)(||G z|| +
+    eps ||z||) on its rows, which proves max(kappa, lambda) > theta for it,
+    with the margin delta of the module docstring; the norms are summed
+    per segment of rows.  R_norm is ||R||_F; witnesses holds the z as columns of Z
+    with their ||R z|| and eps ||z||.
     """
     Z, R_norms, eps_norms = witnesses
-    M, N = G.shape
-    x = ((M + N) * math.sqrt(N) * np.finfo(float).eps
-         * (1.0 + (np.linalg.norm(G) + R_norm) / epsilon))
-    rhs = np.linalg.norm(G @ Z, axis=0) + eps_norms
-    return bool(np.any(R_norms > theta * (1.0 + x) ** 16 * rhs))
+    N = G.shape[1]
+    starts = np.cumsum(Ms) - Ms
+    G_norms = np.sqrt(np.add.reduceat(np.einsum("ij,ij->i", G, G), starts))
+    GZ_norms = np.sqrt(np.add.reduceat(np.square(G @ Z), starts))
+    x = ((Ms + N) * math.sqrt(N) * np.finfo(float).eps
+         * (1.0 + (G_norms + R_norm) / epsilon))
+    margin = theta * (1.0 + x) ** 16
+    return np.any(R_norms > margin[:, None] * (GZ_norms + eps_norms), axis=1)
 
 
 def constants_sweep(

@@ -436,8 +436,34 @@ def test_blas_pin_defers_to_exported_thread_count(name, tmp_path, monkeypatch, b
     assert seen == [before]
 
 
+@pytest.fixture
+def fresh_blas_lookup():
+    """Clear the cached BLAS lookup before and after a test that patches what it reads."""
+    cli._openblas_thread_calls.cache_clear()
+    yield
+    cli._openblas_thread_calls.cache_clear()
+
+
+def test_blas_lookup_made_once_per_process(tmp_path, monkeypatch, fresh_blas_lookup):
+    # the exported-variable check stays per call
+    # (test_blas_pin_defers_to_exported_thread_count)
+    for name in cli._BLAS_THREAD_VARS:
+        monkeypatch.delenv(name, raising=False)
+    lookups = []
+    show_config = np.show_config
+
+    def counting(*args, **kwargs):
+        lookups.append(kwargs)
+        return show_config(*args, **kwargs)
+
+    monkeypatch.setattr(np, "show_config", counting)
+    for name in ("a.csv", "b.csv"):
+        assert cli.main(["constants", "--N", "5", "--out", str(tmp_path / name)]) == 0
+    assert len(lookups) == 1
+
+
 @pytest.mark.parametrize("patch", ["other_blas", "old_numpy", "no_symbols"])
-def test_blas_pin_is_a_no_op_without_openblas(patch, tmp_path, monkeypatch):
+def test_blas_pin_is_a_no_op_without_openblas(patch, tmp_path, monkeypatch, fresh_blas_lookup):
     if patch == "other_blas":
         monkeypatch.setattr(np, "show_config", lambda mode=None: {
             "Build Dependencies": {"blas": {"name": "accelerate"}}})

@@ -305,6 +305,105 @@ def test_ssr_skips_most_svds_of_failing_steps(monkeypatch):
     assert len(calls) < 66 / 2
 
 
+def _record_scan(monkeypatch):
+    """Record the grid steps of each chunk and the rows of each full-route system."""
+    chunks, full = [], []
+    stacked_matrix = diagnostics._stacked_matrix
+
+    def stacking(frame, scheme_family, Ms):
+        chunks.append(list(Ms))
+        return stacked_matrix(frame, scheme_family, Ms)
+
+    from_matrix = gram.GramSystem.from_matrix.__func__
+
+    def counting(cls, matrix, *args, **kwargs):
+        full.append(matrix.shape[0])
+        return from_matrix(cls, matrix, *args, **kwargs)
+
+    monkeypatch.setattr(diagnostics, "_stacked_matrix", stacking)
+    monkeypatch.setattr(gram.GramSystem, "from_matrix", classmethod(counting))
+    return chunks, full
+
+
+def test_ssr_crosses_chunks_as_the_full_scan_does(monkeypatch):
+    frame, family = frames.onb_plus_k(40, 5), sampling.legendre_points()
+    expected = _full_scan(frame, family, 2.0, 1e-8, 64 * 40)
+    chunks, _ = _record_scan(monkeypatch)
+    assert diagnostics.stable_sampling_rate(frame, family, 2.0, 1e-8) == expected == 170
+    assert len(chunks) > 5
+    # consecutive steps, and none evaluated past the chunk of the hit
+    steps = sum(chunks, [])
+    assert steps == list(range(40, steps[-1] + 1, 2))
+    assert 170 in chunks[-1]
+
+
+@pytest.mark.parametrize("cap", [1, 600])
+@pytest.mark.parametrize("scheme_family", [
+    sampling.chebyshev_points(),
+    sampling.chebyshev_points(weighted=True),
+    sampling.legendre_points(),
+    sampling.equispaced_points(),
+    sampling.inner_products(),
+], ids=["chebyshev", "chebyshev-weighted", "legendre", "equispaced", "inner"])
+def test_ssr_matches_the_full_scan_under_small_chunk_caps(scheme_family, cap, monkeypatch):
+    # cap 1: every step exceeds the cap on its own and is a chunk alone;
+    # cap 600: chunks of a few steps at N = 12, of many at N = 6
+    monkeypatch.setattr(diagnostics, "_CHUNK_VALUES", cap)
+    for N in (6, 12):
+        for K in (0, 1, 5):
+            frame = frames.onb_plus_k(N, K)
+            for eps in (1e-3, 1e-8):
+                for theta in (1.2, 2.0):
+                    expected = _full_scan(frame, scheme_family, theta, eps, 8 * N)
+                    chunks, _ = _record_scan(monkeypatch)
+                    found = diagnostics.stable_sampling_rate(
+                        frame, scheme_family, theta, eps, M_max=8 * N)
+                    assert found == expected, (N, K, eps, theta)
+                    assert all(len(Ms) == 1 or sum(Ms) * N <= cap for Ms in chunks)
+                    if cap == 1:
+                        assert max(map(len, chunks)) == 1
+
+
+def test_ssr_hit_inside_a_chunk_right_after_a_full_route_step(monkeypatch):
+    frame, family = frames.onb_plus_k(10, 5), sampling.legendre_points()
+    expected = _full_scan(frame, family, 1.2, 1e-8, 64 * 10)
+    chunks, full = _record_scan(monkeypatch)
+    assert diagnostics.stable_sampling_rate(frame, family, 1.2, 1e-8) == expected == 91
+    assert len(chunks) > 1
+    i = chunks[-1].index(91)
+    # the step before the hit, in the same chunk, took the full route
+    assert i >= 1 and full[-2:] == [chunks[-1][i - 1], 91]
+
+
+def test_ssr_builds_few_stacked_matrices_within_the_cap(monkeypatch):
+    # 66 grid steps (M = 40, 42, ..., 170); one _system_matrix call per chunk
+    shapes = []
+    system_matrix = diagnostics._system_matrix
+
+    def recording(frame, scheme, *args):
+        G = system_matrix(frame, scheme, *args)
+        shapes.append(G.shape)
+        return G
+
+    monkeypatch.setattr(diagnostics, "_system_matrix", recording)
+    _, full = _record_scan(monkeypatch)
+    frame = frames.onb_plus_k(40, 5)
+    assert diagnostics.stable_sampling_rate(
+        frame, sampling.legendre_points(), 2.0, 1e-8) == 170
+    assert len(shapes) < 66 / 3
+    # the largest step evaluated is M = 172, the one after the hit
+    assert max(M * N for M, N in shapes) <= max(diagnostics._CHUNK_VALUES, 172 * 40)
+    # the scan of one step at a time made 16 full-route systems here
+    assert len(full) <= 16
+
+
+def test_ssr_scans_a_huge_grid_lazily():
+    # a grid of 1e12 steps would not fit in memory as an array
+    frame = frames.legendre_onb(5)
+    assert diagnostics.stable_sampling_rate(
+        frame, sampling.inner_products(), 2.0, 1e-5, M_max=10**12, stride=1) == 5
+
+
 def test_ssr_rejects_theta_at_or_below_one():
     frame = frames.legendre_onb(5)
     for theta in (1.0, float("nan")):

@@ -77,6 +77,45 @@ def test_inner_product_data_match_system_columns():
         assert np.abs(y - G[:, j]).max() < 1e-12
 
 
+_POINT_SCHEMES = {
+    "legendre": sampling.legendre_point_scheme,
+    "equispaced": sampling.equispaced_point_scheme,
+    "chebyshev": sampling.chebyshev_point_scheme,
+    "chebyshev-weighted": lambda M: sampling.chebyshev_point_scheme(M, weighted=True),
+}
+
+
+@pytest.mark.parametrize("K", [0, 1, 5])
+@pytest.mark.parametrize("name", list(_POINT_SCHEMES))
+def test_point_systems_stack_to_the_bit(name, K):
+    # one scheme on the concatenated nodes and scales samples each block
+    # exactly as that block's own scheme does
+    N = 12
+    frame = frames.onb_plus_k(N, K)
+    schemes = [_POINT_SCHEMES[name](M) for M in (N, N + 1, 2 * N)]
+    stacked = sampling.SamplingScheme(
+        kind=sampling.SchemeKind.WEIGHTED_POINT_VALUES,
+        M=sum(s.M for s in schemes),
+        nodes=np.concatenate([s.nodes for s in schemes]),
+        scales=np.concatenate([s.scales for s in schemes]),
+    )
+    expected = np.concatenate([gram._system_matrix(frame, s) for s in schemes])
+    assert np.array_equal(gram._system_matrix(frame, stacked), expected)
+
+
+@pytest.mark.parametrize("dtype", [float, np.longdouble])
+@pytest.mark.parametrize("K", [0, 1, 5])
+def test_inner_product_systems_are_row_prefixes_to_the_bit(K, dtype):
+    N = 12
+    frame = frames.onb_plus_k(N, K)
+    longest = gram._system_matrix(frame, sampling.inner_product_scheme(3 * N), dtype)
+    for M in (N, N + 1, 2 * N):
+        G = gram._system_matrix(frame, sampling.inner_product_scheme(M), dtype)
+        assert np.array_equal(G, longest[:M])
+        assert np.array_equal(gram._log_moments(K, M, dtype),
+                              gram._log_moments(K, 3 * N, dtype)[:, :M])
+
+
 def test_svd_factors_reconstruct_and_are_orthogonal():
     frame = frames.onb_plus_k(12, 3)
     system = gram.build_system(frame, sampling.chebyshev_point_scheme(24))
