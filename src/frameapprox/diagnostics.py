@@ -280,11 +280,14 @@ def stable_sampling_rate(
         G = _stacked_matrix(frame, scheme_family, grid[first:last])
         Ms = np.array(grid[first:last])
         starts = np.cumsum(Ms) - Ms
+        # each step's ||G||_F, which no witness changes
+        G_norms = np.sqrt(np.add.reduceat(np.einsum("ij,ij->i", G, G), starts))
         step = 0
         while step < Ms.size:
             if witnesses is not None:
                 open_steps = np.flatnonzero(~_ruled_out(
-                    G[starts[step]:], Ms[step:], R_norm, witnesses, theta, epsilon))
+                    G[starts[step]:], starts[step:] - starts[step], Ms[step:], G_norms[step:],
+                    R_norm, witnesses, theta, epsilon))
                 if open_steps.size == 0:
                     break
                 step += int(open_steps[0])
@@ -330,22 +333,21 @@ def _stacked_matrix(frame: FrameSpec, scheme_family: SchemeFamily, Ms: Sequence[
 
 
 def _ruled_out(
-    G: np.ndarray, Ms: np.ndarray, R_norm: float,
+    G: np.ndarray, starts: np.ndarray, Ms: np.ndarray, G_norms: np.ndarray, R_norm: float,
     witnesses: Tuple[np.ndarray, np.ndarray, np.ndarray], theta: float, epsilon: float,
 ) -> np.ndarray:
     """For each step stacked in G, whether a witness rules it out.
 
-    G stacks the steps' matrices by rows, Ms[i] rows for step i.  A step is
-    ruled out when a witness z has ||R z|| > theta (1 + delta)(||G z|| +
-    eps ||z||) on its rows, which proves max(kappa, lambda) > theta for it,
-    with the margin delta of the module docstring; the norms are summed
-    per segment of rows.  R_norm is ||R||_F; witnesses holds the z as columns of Z
-    with their ||R z|| and eps ||z||.
+    G stacks the steps' matrices by rows, Ms[i] rows for step i from row
+    starts[i], and G_norms[i] is that step's ||G||_F.  A step is ruled out
+    when a witness z has ||R z|| > theta (1 + delta)(||G z|| + eps ||z||)
+    on its rows, which proves max(kappa, lambda) > theta for it, with the
+    margin delta of the module docstring; the norms are summed per segment
+    of rows.  R_norm is ||R||_F; witnesses holds the z as columns of Z with
+    their ||R z|| and eps ||z||.
     """
     Z, R_norms, eps_norms = witnesses
     N = G.shape[1]
-    starts = np.cumsum(Ms) - Ms
-    G_norms = np.sqrt(np.add.reduceat(np.einsum("ij,ij->i", G, G), starts))
     GZ_norms = np.sqrt(np.add.reduceat(np.square(G @ Z), starts))
     x = ((Ms + N) * math.sqrt(N) * np.finfo(float).eps
          * (1.0 + (G_norms + R_norm) / epsilon))

@@ -88,11 +88,15 @@ def element_matrix(frame: FrameSpec, x) -> np.ndarray:
     the weighted copies.
     """
     x = _as_nodes(x)
-    if np.any(x < 0.0) or np.any(x > 1.0):
-        raise ValueError("evaluation points must lie in [0, 1]")
     K, N = frame.K, frame.N
-    if K > 0 and np.any(x <= 0.0):
-        raise ValueError("weighted frame elements are undefined at x = 0")
+    if x.size:
+        # fmin and fmax skip NaN: a NaN node is no domain error, and hides
+        # no point outside [0, 1] beside it
+        lowest, highest = np.fmin.reduce(x), np.fmax.reduce(x)
+        if lowest < 0.0 or highest > 1.0:
+            raise ValueError("evaluation points must lie in [0, 1]")
+        if K > 0 and lowest <= 0.0:
+            raise ValueError("weighted frame elements are undefined at x = 0")
     table = legendre_table(max(frame.max_poly_degree, K - 1, 0), x)
     out = np.empty((N, x.size), dtype=x.dtype)
     if K > 0:

@@ -204,14 +204,19 @@ def _tail_gram(K: int, n0: int) -> Tuple[List[List[int]], int]:
             A[k][l] = A[l][k] = (-1) ** (k + l) * (D // ((k - l) * (k + l + 1))) * P * (head - tail)
     Q = D * P * P
     if n0 < K:
-        # add the terms j = n0, ..., K - 1, where j may equal k or l, over
-        # the common denominator E^2 of the s_kj s_lj
+        # add the terms j = n0, ..., K - 1, where j may equal k or l: each
+        # sum over j is exact over E^2, E the common denominator of the s_kj,
+        # and S takes the lcm of their reduced denominators, not E^2 (which
+        # would multiply the size of every integer Bareiss handles)
         E = math.lcm(*range(1, 2 * K)) ** 2
         s = [[_log_moment_ratio(k, j, E) for j in range(n0, K)] for k in range(K)]
-        A = [[A[k][l] * E * E + Q * sum((2 * j + 1) * a * b
-                                        for j, a, b in zip(range(n0, K), s[k], s[l]))
+        T = [[sum((2 * j + 1) * a * b for j, a, b in zip(range(n0, K), s[k], s[l]))
               for l in range(K)] for k in range(K)]
-        Q *= E * E
+        # E^2 / gcd(T, E^2) is the denominator of T / E^2 in lowest terms
+        Q_sum = math.lcm(Q, *(E * E // math.gcd(t, E * E) for row in T for t in row))
+        A = [[A[k][l] * (Q_sum // Q) + T[k][l] * Q_sum // (E * E) for l in range(K)]
+             for k in range(K)]
+        Q = Q_sum
     return A, Q
 
 

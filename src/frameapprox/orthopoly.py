@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -57,6 +58,10 @@ class QuadratureRule:
 # values per block of recurrence coefficients (2n + 1) t (128 KiB of doubles)
 _COEFFICIENT_BLOCK_VALUES = 2**14
 
+# Most double nodes whose Legendre table is computed in Python floats
+# (legendre_table); numpy's route is faster from about 14 nodes on.
+_FLOAT_ROUTE_NODES = 12
+
 # Values per node block of sample()'s sum over an hp rule (2 MiB of doubles),
 # M per node for the basis of inner-product data.  The sum is one block when
 # M is at most 74 (41 * 86 nodes).
@@ -69,6 +74,27 @@ def _as_nodes(x) -> np.ndarray:
     return x if x.dtype == np.longdouble else x.astype(float, copy=False)
 
 
+@lru_cache(maxsize=64)
+def _recurrence_constants(capacity: int, dtype: np.dtype):
+    """legendre_table's per-degree constants for degrees below capacity, read-only.
+
+    Returns the column 2n + 1, the 0-d arrays n, the scale column
+    sqrt(2n + 1) (all in dtype, n = 0..capacity - 1) and the Python float
+    triples (2n + 1, n, n + 1) of the steps n = 1..capacity - 2.  Each
+    constant depends only on its own n, so a table of any lower degree
+    reads prefixes; legendre_table asks for powers of two, which keeps a
+    few entries per dtype alive instead of one per degree.
+    """
+    n = np.arange(capacity, dtype=dtype)
+    odd = 2 * n + 1
+    scale = np.sqrt(odd)[:, None]
+    for array in (n, odd, scale):
+        array.setflags(write=False)
+    scalars = tuple(n[k, ...] for k in range(capacity))
+    steps = tuple((2.0 * k + 1.0, float(k), k + 1.0) for k in range(1, capacity - 1))
+    return odd, scalars, scale, steps
+
+
 def legendre_table(max_degree: int, x) -> np.ndarray:
     """Table of orthonormal shifted Legendre values on [0, 1].
 
@@ -78,29 +104,54 @@ def legendre_table(max_degree: int, x) -> np.ndarray:
     in double.  Row n does not depend on max_degree, so one table of the
     largest degree a caller needs serves every shorter one.
 
-    The three-term recurrence runs in place on the rows of the table with
-    one scratch row, in the operation order
-    ((2n + 1) t P_n - n P_{n-1}) / (n + 1); the sqrt(2n + 1) scale is
-    applied afterwards.  At the few hundred nodes of a sampled system the
-    recurrence is bound by numpy's cost per call, so each degree makes four
-    calls: the rows (2n + 1) t come from one call per block of at most
-    _COEFFICIENT_BLOCK_VALUES values, and n and n + 1 enter as 0-d arrays
-    of the table's dtype, which numpy takes faster than Python integers.
-    Every value is rounded as in the plain loop, so the table is the same
-    to the bit.
+    The three-term recurrence runs in the operation order
+    ((2n + 1) t P_n - n P_{n-1}) / (n + 1), and the sqrt(2n + 1) scale is
+    applied afterwards.  At the library's sizes the cost is per-call
+    overhead, not arithmetic, so the route depends on the nodes:
+
+    - At most _FLOAT_ROUTE_NODES double nodes (error probes, the smallest
+      sampled systems) run the recurrence node by node in Python floats.
+      At 3 nodes and degree 54 that takes 26 us against 104 us through
+      numpy; the two routes cross at about 14 nodes at every degree from 5
+      to 54 (one core of a Xeon VM, Python 3.11, numpy 2.4).
+    - Long double nodes and larger node sets run it in place on the rows of
+      the table with one scratch row, four numpy calls per degree.  The
+      rows (2n + 1) t come from one call per block of at most
+      _COEFFICIENT_BLOCK_VALUES values, and n and n + 1 enter as 0-d
+      arrays of the table's dtype, which numpy takes faster than Python
+      integers.
+
+    Python floats are IEEE doubles, and the float route makes numpy's
+    operations, each correctly rounded, on the same operands in the same
+    order (2n + 1, n and n + 1 are exact), so both routes give the table
+    of the plain loop to the bit.  The constants are built once per dtype
+    and power of two of the degree (_recurrence_constants).
     """
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
     x = _as_nodes(x)
+    capacity = 1 << operator.index(max_degree).bit_length()
+    odd, scalars, scale, steps = _recurrence_constants(capacity, x.dtype)
+    scale = scale[: max_degree + 1]
+    if x.dtype == np.float64 and x.ndim == 1 and x.size <= _FLOAT_ROUTE_NODES:
+        steps = steps[: max(max_degree - 1, 0)]
+        columns = []
+        for t in (2.0 * x - 1.0).tolist():
+            p, q = t, 1.0
+            column = [1.0, t]
+            for coefficient, n, n_next in steps:
+                # three-term recurrence for P_{n+1} in the unnormalized convention
+                p, q = (coefficient * t * p - q * n) / n_next, p
+                column.append(p)
+            columns.append(column[: max_degree + 1])
+        table = np.array(columns).reshape(x.size, max_degree + 1)
+        return np.multiply(table.T, scale, order="C")
     t = 2.0 * x - 1.0
     table = np.empty((max_degree + 1, x.size), dtype=x.dtype)
     table[0] = 1.0
     if max_degree >= 1:
         table[1] = t
-    n = np.arange(max_degree + 1, dtype=x.dtype)
-    odd = 2 * n + 1
     rows = list(table)
-    scalars = [n[k, ...] for k in range(max_degree + 1)]
     step = max(1, _COEFFICIENT_BLOCK_VALUES // max(x.size, 1))
     coefficients = np.empty((min(step, max_degree), x.size), dtype=x.dtype)
     scratch = np.empty_like(t)
@@ -114,7 +165,8 @@ def legendre_table(max_degree: int, x) -> np.ndarray:
             np.multiply(rows[k - 1], scalars[k], scratch)
             np.subtract(row, scratch, row)
             np.divide(row, scalars[k + 1], row)
-    return table * np.sqrt(odd)[:, None]
+    table *= scale
+    return table
 
 
 def legendre_shifted(n: int, x):

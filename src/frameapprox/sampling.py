@@ -177,7 +177,9 @@ def chebyshev_points(weighted: bool = False) -> SchemeFamily:
 
 
 def _evaluate(f, x: np.ndarray) -> np.ndarray:
-    vals = np.broadcast_to(np.asarray(f(x), dtype=float), x.shape)
+    vals = np.asarray(f(x), dtype=float)
+    if vals.shape != x.shape:
+        vals = np.broadcast_to(vals, x.shape)
     if not np.all(np.isfinite(vals)):
         raise ValueError("function evaluation produced non-finite samples")
     return vals

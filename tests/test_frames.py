@@ -68,9 +68,21 @@ def test_element_matrix_domain_errors():
         frames.element_matrix(frame, np.array([0.0, 0.5]))
     with pytest.raises(ValueError):
         frames.element_matrix(frame, np.array([0.5, 1.5]))
+    with pytest.raises(ValueError):
+        frames.element_matrix(frames.legendre_onb(4), np.array([0.5, -0.25]))
+    with pytest.raises(ValueError):
+        frames.element_matrix(frame, np.array([-0.0, 0.5]))
     # the log weight never sees zero for a pure polynomial frame
-    vals = frames.element_matrix(frames.legendre_onb(4), np.array([0.0, 1.0]))
+    vals = frames.element_matrix(frames.legendre_onb(4), np.array([0.0, -0.0, 1.0]))
     assert np.isfinite(vals).all()
+    assert frames.element_matrix(frame, np.array([])).shape == (4, 0)
+    # a NaN node is no domain error and gives a NaN column, but does not hide
+    # a point outside [0, 1] beside it
+    vals = frames.element_matrix(frame, np.array([np.nan, 0.5]))
+    assert np.isnan(vals[0, 0]) and np.isfinite(vals[:, 1]).all()
+    for bad in (-1.0, 2.0, 0.0):
+        with pytest.raises(ValueError):
+            frames.element_matrix(frame, np.array([np.nan, bad]))
 
 
 def _mp_elements(frame, x):

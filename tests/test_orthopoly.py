@@ -122,9 +122,10 @@ def test_legendre_table_rows_are_exact_and_independent_of_length(dtype):
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
-@pytest.mark.parametrize("size", [1, 3, 75, 1310])
+@pytest.mark.parametrize("size", [0, 1, 3, 12, 13, 75, 1310])
 def test_legendre_table_equals_the_plain_recurrence_to_the_bit(dtype, size):
-    # 1310 nodes take several coefficient blocks up to degree 195
+    # up to 12 double nodes take the Python-float route, 13 and long double
+    # nodes numpy's; 1310 nodes take several coefficient blocks up to degree 195
     x = np.random.default_rng(size).random(size).astype(dtype)
     table = orthopoly.legendre_table(195, x)
     assert table.dtype == dtype

@@ -87,8 +87,9 @@ def test_discrete_norm_weighted_points_approximates_l2_norm():
     norm = sampling.sample(scheme, np.exp).norm()
     exact = np.sqrt((np.e ** 2 - 1.0) / 2.0)
     assert abs(norm - exact) < 1e-12
-    assert sampling.sample(sampling.legendre_point_scheme(6),
-                           lambda x: np.ones_like(x)).norm() == pytest.approx(1.0)
+    for f in (lambda x: np.ones_like(x), lambda x: 1.0):  # a scalar is broadcast
+        assert sampling.sample(sampling.legendre_point_scheme(6), f).norm() \
+            == pytest.approx(1.0)
     phi2 = lambda x: orthopoly.legendre_shifted(2, x)
     assert sampling.sample(sampling.legendre_point_scheme(32), phi2).norm() \
         == pytest.approx(1.0, abs=1e-12)

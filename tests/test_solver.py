@@ -1,5 +1,7 @@
 """Truncated-SVD solving, approximants, and the error bounds."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -195,3 +197,14 @@ def test_coefficient_bound_with_zero_z_controls_norm():
     assert check.holds
     y = sampling.sample(approx.solution.system.scheme, frames.target_function)
     assert check.rhs == pytest.approx(y.norm() / 1e-6, rel=1e-10)
+
+
+def test_readme_quickstart_runs_and_meets_its_claim(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library quickstart", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    # "~5e-15 despite cond(Gram) >> 1/eps"
+    assert namespace["report"].max_error < 1e-13
+    assert float(capsys.readouterr().out) == namespace["report"].max_error
