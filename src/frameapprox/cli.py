@@ -9,13 +9,10 @@ Exit codes: 0 success, 1 invalid configuration, 2 numerical failure.
 """
 
 import argparse
-import contextlib
-import ctypes
 import math
 import os
 import sys
 from dataclasses import dataclass, field
-from functools import cache
 from pathlib import Path
 from typing import Callable, List, Optional, Sequence
 
@@ -568,72 +565,14 @@ _RUNNERS = {
 }
 
 
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
-
-
-@cache
-def _openblas_thread_calls():
-    """(get, set) thread-count functions of numpy's OpenBLAS, or None.
-
-    None for any other BLAS or when the symbols are missing.  The symbols
-    are looked up through numpy's own linalg extension, which is loaded
-    and links the BLAS, so this loads no library.  The lookup is made once
-    per process: the BLAS a process has loaded does not change.
-    """
-    try:
-        config = np.show_config(mode="dicts")
-    except TypeError:  # numpy before 1.25 can only print its configuration
-        return None
-    blas = config.get("Build Dependencies", {}).get("blas", {})
-    prefix = {"scipy-openblas": "scipy_openblas", "openblas": "openblas"}.get(blas.get("name"))
-    if prefix is None:
-        return None
-    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-    for suffix in ("64_", ""):
-        try:
-            get = getattr(lib, f"{prefix}_get_num_threads{suffix}")
-            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}")
-        except AttributeError:
-            continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        set_.argtypes, set_.restype = [ctypes.c_int], None
-        return get, set_
-    return None
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the body with numpy's OpenBLAS on one thread; restore the count after.
-
-    The matrices here are at most a few thousand by a few hundred, where
-    BLAS threads cost more than they save.  A thread count the user
-    exported in OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is left alone; the
-    environment is read on every call, since it may change between calls.
-    """
-    exported = any(os.environ.get(name) for name in _BLAS_THREAD_VARS)
-    calls = None if exported else _openblas_thread_calls()
-    if calls is None:
-        yield
-        return
-    get, set_ = calls
-    previous = get()
-    set_(1)
-    try:
-        yield
-    finally:
-        set_(previous)
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = _PARSER.parse_args(argv)
         cfg = _build_config(args)
-        if cfg.experiment != "selftest":
-            _check_writable(cfg.out_path())
-        with _one_blas_thread():
-            if cfg.experiment == "selftest":
-                return run_selftest(cfg)
-            path = _RUNNERS[cfg.experiment](cfg)
+        if cfg.experiment == "selftest":
+            return run_selftest(cfg)
+        _check_writable(cfg.out_path())
+        path = _RUNNERS[cfg.experiment](cfg)
         print(f"wrote {path}")
         return 0
     except ConfigError as exc:

@@ -52,8 +52,20 @@ z = V_r V_r* z + V_d V_d* z, and since ||Sigma_r V_r* z|| <= ||G z||,
 
 So a z with ||R z|| > theta (||G z|| + eps ||z||) proves max(kappa,
 lambda) > theta.  The witnesses are the last kept and the first discarded
-right singular vectors of the last step evaluated in full, the directions
-that carry kappa and lambda there.
+right singular vectors of the last step evaluated in full: two directions
+at the cutoff, which cost nothing once that step's SVD is taken.  They
+are not the directions that attain kappa and lambda.  kappa's is
+V_r D^-1 w, with w the top right singular vector of R V_r D^-1, and
+lambda's is V_d w', with w' that of R V_d.  No witness beats the bound
+
+    ||R z|| / (||G z|| + eps ||z||) <= || R V (Sigma^2 + eps^2)^(-1/2) ||_2,
+
+since ||G z|| + eps ||z|| >= ||(Sigma^2 + eps^2)^(1/2) V* z||.  At
+Legendre points with K = 5, N = 60 and eps = 1e-8 that bound is 2.004
+at M = 243, below the test's theta (1 + delta) = 2.03, while kappa is
+2.27 there and stays above theta = 2 until M_theta = 270.  Such steps
+take the full route whatever the witness; adding kappa's direction as a
+third witness made searches slower (ROADMAP, "Tried and not planned").
 
 The grid is scanned in chunks of consecutive steps: as many as fit in
 _CHUNK_VALUES (2^14) stacked matrix values, and always at least one.  A
@@ -127,6 +139,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .blas import one_blas_thread
 from .frames import FrameSpec
 from .gram import GramFactor, GramSystem, _system_matrix, build_gram_factor, build_system
 from .sampling import (
@@ -155,6 +168,7 @@ def _check_epsilon(epsilon: float) -> None:
         raise ValueError("epsilon must be finite and > 0")
 
 
+@one_blas_thread
 def compute_kappa(system: GramSystem, factor: GramFactor, epsilon: float) -> float:
     """Largest continuous norm of the regularized fit over unit data vectors.
 
@@ -172,6 +186,7 @@ def compute_kappa(system: GramSystem, factor: GramFactor, epsilon: float) -> flo
     return float(np.linalg.svd(X, compute_uv=False)[0])
 
 
+@one_blas_thread
 def compute_lambda(system: GramSystem, factor: GramFactor, epsilon: float) -> float:
     """Scaled continuous norm of the discarded singular directions."""
     _check_epsilon(epsilon)
@@ -212,6 +227,7 @@ class DiagnosticsReport:
         ]
 
 
+@one_blas_thread
 def diagnose(
     system: GramSystem, factor: GramFactor, epsilons: Sequence[float]
 ) -> List[DiagnosticsReport]:
@@ -237,6 +253,7 @@ def diagnose(
     ]
 
 
+@one_blas_thread
 def stable_sampling_rate(
     frame: FrameSpec,
     scheme_family: SchemeFamily,
@@ -355,6 +372,7 @@ def _ruled_out(
     return np.any(R_norms > margin[:, None] * (GZ_norms + eps_norms), axis=1)
 
 
+@one_blas_thread
 def constants_sweep(
     frame_family: Callable[[int], FrameSpec],
     scheme_family: SchemeFamily,

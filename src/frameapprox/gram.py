@@ -9,6 +9,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from .blas import one_blas_thread
 from .frames import _LOG_NORM_SQ, FrameSpec, element_matrix
 from .orthopoly import hp_log_quadrature
 from .sampling import SamplingScheme, SchemeKind
@@ -46,6 +47,7 @@ class GramSystem:
         return self.matrix.shape[1]
 
     @classmethod
+    @one_blas_thread
     def from_matrix(cls, matrix, frame=None, scheme=None) -> "GramSystem":
         matrix = np.asarray(matrix, dtype=float)
         if matrix.ndim != 2:
@@ -143,6 +145,7 @@ def _system_matrix(frame: FrameSpec, scheme: SamplingScheme, dtype=float) -> np.
     return G
 
 
+@one_blas_thread
 def build_system(frame: FrameSpec, scheme: SamplingScheme) -> GramSystem:
     """Sample every frame element, returning the M x N system with its SVD.
 

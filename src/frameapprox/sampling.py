@@ -15,6 +15,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
+from .blas import one_blas_thread
 from .orthopoly import (
     _gauss_legendre_cached,
     _node_blocks,
@@ -185,6 +186,7 @@ def _evaluate(f, x: np.ndarray) -> np.ndarray:
     return vals
 
 
+@one_blas_thread
 def sample(scheme: SamplingScheme, f) -> DataVector:
     """Apply the M sampling functionals to a callable f.
 
@@ -202,6 +204,7 @@ def sample(scheme: SamplingScheme, f) -> DataVector:
     return DataVector(values=values, scheme=scheme)
 
 
+@one_blas_thread
 def richness_estimate(system: GramSystem, factor: GramFactor) -> float:
     """Lower discrete-norm constant A'_{M,N} of a sampled system over its frame.
 

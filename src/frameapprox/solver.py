@@ -21,6 +21,7 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
+from .blas import one_blas_thread
 from .frames import FrameSpec, element_matrix, synthesize
 from .gram import GramSystem, build_system
 from .orthopoly import QuadratureRule, hp_log_quadrature
@@ -75,6 +76,7 @@ class BoundCheck(NamedTuple):
     rhs: float
 
 
+@one_blas_thread
 def truncated_svd_solve(
     system: GramSystem,
     y: Union[DataVector, np.ndarray],
@@ -102,6 +104,7 @@ def truncated_svd_solve(
     )
 
 
+@one_blas_thread
 def approximate(
     f,
     frame: FrameSpec,
@@ -128,8 +131,10 @@ class ErrorReport:
 
 
 def error_report(approx: Approximant, f, probe_points) -> ErrorReport:
-    """Absolute errors |f - A f| at the probe points."""
+    """Absolute errors |f - A f| at the probe points; raises ValueError for none."""
     probes = np.atleast_1d(np.asarray(probe_points, dtype=float))
+    if probes.size == 0:
+        raise ValueError("probe_points is empty")
     errors = np.abs(np.asarray(f(probes), dtype=float) - approx(probes))
     sol = approx.solution
     return ErrorReport(
@@ -159,6 +164,7 @@ def _comparison_norms(system: GramSystem, f, z: np.ndarray, rule: QuadratureRule
     return cont, disc, fvals
 
 
+@one_blas_thread
 def verify_error_bound(approx: Approximant, f, z, kappa: float, lam: float) -> BoundCheck:
     """Check the approximation error bound against a comparison vector z.
 
@@ -184,6 +190,7 @@ def verify_error_bound(approx: Approximant, f, z, kappa: float, lam: float) -> B
     return BoundCheck(holds=lhs <= rhs, slack=rhs - lhs, lhs=lhs, rhs=float(rhs))
 
 
+@one_blas_thread
 def verify_coefficient_bound(solution: RegularizedSolution, f, z) -> BoundCheck:
     """Check ||x_eps|| <= (1 / eps) ||f - Tz||_M + ||z||."""
     if solution.epsilon <= 0:

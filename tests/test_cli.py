@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from frameapprox import cli, orthopoly, sampling
+from frameapprox import blas, cli, orthopoly, sampling
 
 
 def _read_csv(path):
@@ -385,24 +385,30 @@ def test_output_files_are_deterministic(tmp_path):
 @pytest.fixture
 def blas_threads(monkeypatch):
     """get() of numpy's OpenBLAS thread count, or None for another BLAS."""
-    for name in cli._BLAS_THREAD_VARS:
+    for name in blas.THREAD_VARS:
         monkeypatch.delenv(name, raising=False)
-    calls = cli._openblas_thread_calls()
+    calls = blas.openblas_thread_calls()
     return calls[0] if calls else None
 
 
 def _count_reader(monkeypatch, get, seen):
-    """Replace the ssr runner by one that records the BLAS thread count."""
-    def runner(cfg):
+    """Record the BLAS thread count inside every SVD the library takes."""
+    svd = np.linalg.svd
+
+    def reader(*args, **kwargs):
         seen.append(get() if get else None)
-        return cfg.out_path()
-    monkeypatch.setitem(cli._RUNNERS, "ssr", runner)
+        return svd(*args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", reader)
+
+
+# one approximation: one SVD, of the 10 x 5 system
+_ONE_SVD = ["single_approx", "--N", "5", "--M", "10"]
 
 
 def test_blas_pinned_to_one_thread_during_a_run(tmp_path, monkeypatch, blas_threads):
     seen = []
     _count_reader(monkeypatch, blas_threads, seen)
-    assert cli.main(["ssr", "--N", "5", "--out", str(tmp_path / "s.csv")]) == 0
+    assert cli.main(_ONE_SVD + ["--out", str(tmp_path / "s.csv")]) == 0
     assert len(seen) == 1
     if blas_threads is None:
         pytest.skip("numpy's BLAS is not OpenBLAS")
@@ -416,9 +422,10 @@ def test_blas_pinned_to_one_thread_during_a_run(tmp_path, monkeypatch, blas_thre
 ])
 def test_blas_thread_count_restored_on_every_exit(argv, code, tmp_path, monkeypatch,
                                                   blas_threads):
+    # raised inside approximate, so the exit 2 leaves a pinned entry point
     def boom(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")
-    monkeypatch.setattr(cli.solver, "approximate", boom)
+    monkeypatch.setattr(cli.solver, "truncated_svd_solve", boom)
     before = blas_threads() if blas_threads else None
     assert cli.main(argv + ["--out", str(tmp_path / "x.csv")]) == code
     if blas_threads is None:
@@ -426,28 +433,28 @@ def test_blas_thread_count_restored_on_every_exit(argv, code, tmp_path, monkeypa
     assert blas_threads() == before
 
 
-@pytest.mark.parametrize("name", cli._BLAS_THREAD_VARS)
+@pytest.mark.parametrize("name", blas.THREAD_VARS)
 def test_blas_pin_defers_to_exported_thread_count(name, tmp_path, monkeypatch, blas_threads):
     monkeypatch.setenv(name, "2")
     seen = []
     _count_reader(monkeypatch, blas_threads, seen)
     before = blas_threads() if blas_threads else None
-    assert cli.main(["ssr", "--N", "5", "--out", str(tmp_path / "s.csv")]) == 0
+    assert cli.main(_ONE_SVD + ["--out", str(tmp_path / "s.csv")]) == 0
     assert seen == [before]
 
 
 @pytest.fixture
 def fresh_blas_lookup():
     """Clear the cached BLAS lookup before and after a test that patches what it reads."""
-    cli._openblas_thread_calls.cache_clear()
+    blas.openblas_thread_calls.cache_clear()
     yield
-    cli._openblas_thread_calls.cache_clear()
+    blas.openblas_thread_calls.cache_clear()
 
 
 def test_blas_lookup_made_once_per_process(tmp_path, monkeypatch, fresh_blas_lookup):
     # the exported-variable check stays per call
     # (test_blas_pin_defers_to_exported_thread_count)
-    for name in cli._BLAS_THREAD_VARS:
+    for name in blas.THREAD_VARS:
         monkeypatch.delenv(name, raising=False)
     lookups = []
     show_config = np.show_config
@@ -470,8 +477,8 @@ def test_blas_pin_is_a_no_op_without_openblas(patch, tmp_path, monkeypatch, fres
     elif patch == "old_numpy":  # show_config() takes no mode before numpy 1.25
         monkeypatch.setattr(np, "show_config", lambda: None)
     else:
-        monkeypatch.setattr(cli.ctypes, "CDLL", lambda path: object())
-    assert cli._openblas_thread_calls() is None
+        monkeypatch.setattr(blas.ctypes, "CDLL", lambda path: object())
+    assert blas.openblas_thread_calls() is None
     out = tmp_path / "c.csv"
     assert cli.main(["constants", "--N", "5", "--out", str(out)]) == 0
     assert out.exists()

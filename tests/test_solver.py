@@ -149,6 +149,14 @@ def test_error_report_fields():
     assert report.residual_discrete == pytest.approx(expected_resid, abs=1e-13)
 
 
+def test_error_report_rejects_empty_probe_points():
+    approx = solver.approximate(frames.target_function, frames.onb_plus_k(6, 1),
+                                sampling.chebyshev_points(), M=12, epsilon=1e-10)
+    for probes in ([], (), np.empty(0)):
+        with pytest.raises(ValueError, match="probe_points is empty"):
+            solver.error_report(approx, frames.target_function, probes)
+
+
 def _bound_ingredients(frame, scheme_family, M, eps):
     factor = gram.build_gram_factor(frame)
     approx = solver.approximate(frames.target_function, frame, scheme_family,
