@@ -21,7 +21,6 @@ from .sampling import (
     DataVector,
     SamplingScheme,
     SchemeFamily,
-    SchemeKind,
     chebyshev_point_scheme,
     chebyshev_points,
     equispaced_point_scheme,

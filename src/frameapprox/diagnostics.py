@@ -143,7 +143,7 @@ from .blas import one_blas_thread
 from .frames import FrameSpec
 from .gram import GramFactor, GramSystem, _system_matrix, build_gram_factor, build_system
 from .sampling import (
-    SamplingScheme, SchemeFamily, SchemeKind, _check_factor, richness_estimate,
+    SamplingScheme, SchemeFamily, _check_factor, richness_estimate,
 )
 
 __all__ = [
@@ -188,9 +188,11 @@ def compute_kappa(system: GramSystem, factor: GramFactor, epsilon: float) -> flo
 
 @one_blas_thread
 def compute_lambda(system: GramSystem, factor: GramFactor, epsilon: float) -> float:
-    """Scaled continuous norm of the discarded singular directions."""
+    """Scaled continuous norm of the discarded singular directions, for M >= N."""
     _check_epsilon(epsilon)
     _check_factor(system, factor)
+    if system.M < system.N:
+        raise ValueError("lambda requires M >= N: the thin SVD misses the null space of G")
     r = system.kept_rank(epsilon)
     if r == system.N:
         return 0.0
@@ -215,7 +217,7 @@ class DiagnosticsReport:
     def bound_violations(self, frame: FrameSpec, scheme: SamplingScheme) -> List[str]:
         """Check the a-priori bounds; returns one message per violation."""
         caps = [("sqrt(B)/eps", math.sqrt(frame.B_upper) / self.epsilon)]
-        if scheme.kind is SchemeKind.BASIS_INNER_PRODUCTS:
+        if scheme.nodes is None:  # inner products
             caps.append(("1/sqrt(eps)", 1.0 / math.sqrt(self.epsilon)))
         if self.A_prime_MN > 0:
             caps.append(("1/sqrt(A'_MN)", 1.0 / math.sqrt(self.A_prime_MN)))
@@ -336,12 +338,11 @@ def _stacked_matrix(frame: FrameSpec, scheme_family: SchemeFamily, Ms: Sequence[
     equals the matrix of its M built alone, to the bit.
     """
     last = scheme_family.realize(Ms[-1])
-    if last.kind is SchemeKind.BASIS_INNER_PRODUCTS:
+    if last.nodes is None:  # inner products
         G = _system_matrix(frame, last)
         return np.concatenate([G[:M] for M in Ms])
     schemes = [scheme_family.realize(M) for M in Ms[:-1]] + [last]
     stacked = SamplingScheme(
-        kind=SchemeKind.WEIGHTED_POINT_VALUES,
         M=sum(Ms),
         nodes=np.concatenate([scheme.nodes for scheme in schemes]),
         scales=np.concatenate([scheme.scales for scheme in schemes]),

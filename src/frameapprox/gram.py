@@ -12,7 +12,7 @@ import numpy as np
 from .blas import one_blas_thread
 from .frames import _LOG_NORM_SQ, FrameSpec, element_matrix
 from .orthopoly import hp_log_quadrature
-from .sampling import SamplingScheme, SchemeKind
+from .sampling import SamplingScheme
 
 __all__ = [
     "GramSystem",
@@ -134,7 +134,7 @@ def _system_matrix(frame: FrameSpec, scheme: SamplingScheme, dtype=float) -> np.
     dtype=np.longdouble evaluates it in long double, from the double nodes
     and scales taken as exact.
     """
-    if scheme.kind is SchemeKind.WEIGHTED_POINT_VALUES:
+    if scheme.nodes is not None:
         nodes = scheme.nodes.astype(dtype, copy=False)
         return scheme.scales.astype(dtype, copy=False)[:, None] * element_matrix(frame, nodes).T
     # each element's first M Legendre coefficients: I for phi, rows of L for psi

@@ -9,7 +9,6 @@ Legendre orthonormal basis, integrated by quadrature only in `sample`.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
@@ -29,7 +28,6 @@ if TYPE_CHECKING:  # gram imports this module
     from .gram import GramFactor, GramSystem
 
 __all__ = [
-    "SchemeKind",
     "SamplingScheme",
     "SchemeFamily",
     "DataVector",
@@ -46,20 +44,14 @@ __all__ = [
 ]
 
 
-class SchemeKind(enum.Enum):
-    BASIS_INNER_PRODUCTS = "inner_products"
-    WEIGHTED_POINT_VALUES = "point_values"
-
-
 @dataclass(frozen=True)
 class SamplingScheme:
     """M sampling functionals.
 
     For point schemes `nodes` and `scales` hold the x_m and s_m; the
-    inner-product scheme is defined by M alone.
+    inner-product scheme is defined by M alone, and its `nodes` is None.
     """
 
-    kind: SchemeKind
     M: int
     nodes: Optional[np.ndarray] = None
     scales: Optional[np.ndarray] = None
@@ -67,11 +59,10 @@ class SamplingScheme:
     def __post_init__(self):
         if self.M < 1:
             raise ValueError("M must be >= 1")
-        if self.kind is SchemeKind.WEIGHTED_POINT_VALUES:
-            if self.nodes is None or self.scales is None:
-                raise ValueError("point scheme requires nodes and scales")
-            if len(self.nodes) != self.M or len(self.scales) != self.M:
-                raise ValueError("nodes and scales must have length M")
+        if (self.nodes is None) != (self.scales is None):
+            raise ValueError("point scheme requires nodes and scales")
+        if self.nodes is not None and not len(self.nodes) == len(self.scales) == self.M:
+            raise ValueError("nodes and scales must have length M")
 
 
 @dataclass
@@ -96,7 +87,7 @@ def inner_product_scheme(M: int) -> SamplingScheme:
     The scheme holds only M: its systems are closed form
     (`gram._system_matrix`), and `sample` builds its own quadrature.
     """
-    return SamplingScheme(kind=SchemeKind.BASIS_INNER_PRODUCTS, M=M)
+    return SamplingScheme(M=M)
 
 
 def legendre_point_scheme(M: int) -> SamplingScheme:
@@ -109,7 +100,6 @@ def legendre_point_scheme(M: int) -> SamplingScheme:
         raise ValueError("M must be >= 1")
     nodes, weights = _gauss_legendre_cached(M)
     return SamplingScheme(
-        kind=SchemeKind.WEIGHTED_POINT_VALUES,
         M=M,
         nodes=nodes,
         scales=np.sqrt(weights),
@@ -119,7 +109,6 @@ def legendre_point_scheme(M: int) -> SamplingScheme:
 def equispaced_point_scheme(M: int) -> SamplingScheme:
     """Midpoints of the uniform partition, scaled by sqrt(1/M)."""
     return SamplingScheme(
-        kind=SchemeKind.WEIGHTED_POINT_VALUES,
         M=M,
         nodes=equispaced_nodes(M),
         scales=np.full(M, 1.0 / np.sqrt(M)),
@@ -136,7 +125,6 @@ def chebyshev_point_scheme(M: int, weighted: bool = False) -> SamplingScheme:
     nodes = chebyshev_nodes(M)
     if not weighted:
         return SamplingScheme(
-            kind=SchemeKind.WEIGHTED_POINT_VALUES,
             M=M,
             nodes=nodes,
             scales=np.ones(M),
@@ -144,7 +132,6 @@ def chebyshev_point_scheme(M: int, weighted: bool = False) -> SamplingScheme:
     t = 2.0 * nodes - 1.0
     weights = np.pi * np.sqrt(1.0 - t * t) / (2.0 * M)
     return SamplingScheme(
-        kind=SchemeKind.WEIGHTED_POINT_VALUES,
         M=M,
         nodes=nodes,
         scales=np.sqrt(weights),
@@ -194,7 +181,7 @@ def sample(scheme: SamplingScheme, f) -> DataVector:
     which resolves a log singularity at 0, summing the Legendre table one
     node block at a time.
     """
-    if scheme.kind is SchemeKind.WEIGHTED_POINT_VALUES:
+    if scheme.nodes is not None:
         values = scheme.scales * _evaluate(f, scheme.nodes)
     else:
         rule = hp_log_quadrature(levels=40, order=max(12, scheme.M + 12))

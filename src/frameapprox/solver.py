@@ -25,7 +25,7 @@ from .blas import one_blas_thread
 from .frames import FrameSpec, element_matrix, synthesize
 from .gram import GramSystem, build_system
 from .orthopoly import QuadratureRule, hp_log_quadrature
-from .sampling import DataVector, SchemeFamily, SchemeKind, sample
+from .sampling import DataVector, SchemeFamily, sample
 
 __all__ = [
     "RegularizedSolution",
@@ -183,7 +183,7 @@ def verify_error_bound(approx: Approximant, f, z, kappa: float, lam: float) -> B
     avals = synthesize(approx.frame, sol.coefficients, rule.nodes)
     lhs = float(np.sqrt(rule.weights @ ((fvals - avals) ** 2)))
     eps_term = sol.epsilon * lam * float(np.linalg.norm(z))
-    if sol.system.scheme.kind is SchemeKind.BASIS_INNER_PRODUCTS:
+    if sol.system.scheme.nodes is None:  # inner products
         rhs = (1.0 + np.sqrt(approx.frame.B_upper) * kappa) * cont + eps_term
     else:
         rhs = cont + kappa * disc + eps_term

@@ -29,12 +29,15 @@ def dense_kappa(system, factor, epsilon):
 
 
 def dense_lambda(system, factor, epsilon):
-    """Deviation-from-projection norm, scaled by 1/epsilon, dense route."""
-    s = system.singular_values
-    dropped = ~(s > epsilon)
-    if not dropped.any():
+    """Deviation-from-projection norm, scaled by 1/epsilon, dense route.
+
+    V_d is taken from the full N x N V, so for M < N it includes the
+    N - M null directions of G that the thin SVD leaves out.
+    """
+    r = int(np.count_nonzero(system.singular_values > epsilon))
+    if r == system.N:
         return 0.0
-    V_d = system.Vt.T[:, dropped]
+    V_d = np.linalg.svd(system.matrix)[2][r:].T
     L = factor.matrix @ (V_d @ V_d.T)
     return float(np.sqrt(max(0.0, np.linalg.eigvalsh(L.T @ L)[-1]))) / epsilon
 

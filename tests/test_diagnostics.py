@@ -120,6 +120,21 @@ def test_constants_match_dense_oracle():
         assert sampled <= kappa * (1 + 1e-9)
 
 
+@pytest.mark.parametrize("M", [15, 19])
+def test_lambda_rejects_fewer_samples_than_elements(M):
+    # the thin SVD misses the N - M null directions of G: at M = 15 (r = M)
+    # it leaves lambda no columns, at M = 19 (r < M) a lambda 8.8e-8 too low
+    frame, factor, system = _cell(20, 5, sampling.legendre_point_scheme(M))
+    with pytest.raises(ValueError, match="M >= N"):
+        diagnostics.compute_lambda(system, factor, 1e-5)
+
+
+def test_dense_lambda_oracle_counts_the_null_directions():
+    frame, factor, system = _cell(20, 5, sampling.legendre_point_scheme(15))
+    assert system.kept_rank(1e-5) == 15
+    assert oracles.dense_lambda(system, factor, 1e-5) == pytest.approx(1.1577e4, rel=1e-4)
+
+
 def test_constants_respect_all_upper_bounds():
     eps = 1e-5
     for K, scheme_builder in ((5, sampling.legendre_point_scheme),

@@ -94,7 +94,6 @@ def test_point_systems_stack_to_the_bit(name, K):
     frame = frames.onb_plus_k(N, K)
     schemes = [_POINT_SCHEMES[name](M) for M in (N, N + 1, 2 * N)]
     stacked = sampling.SamplingScheme(
-        kind=sampling.SchemeKind.WEIGHTED_POINT_VALUES,
         M=sum(s.M for s in schemes),
         nodes=np.concatenate([s.nodes for s in schemes]),
         scales=np.concatenate([s.scales for s in schemes]),

@@ -111,12 +111,22 @@ def test_data_vector_validation():
     assert abs(vec.norm() - 5.0) < 1e-15
 
 
+def test_point_scheme_requires_nodes_and_scales_of_length_m():
+    # a scheme without nodes is the inner-product scheme; one without scales is malformed
+    with pytest.raises(ValueError, match="requires nodes and scales"):
+        sampling.SamplingScheme(M=3, nodes=np.full(3, 0.5))
+    with pytest.raises(ValueError, match="requires nodes and scales"):
+        sampling.SamplingScheme(M=3, scales=np.ones(3))
+    with pytest.raises(ValueError, match="length M"):
+        sampling.SamplingScheme(M=3, nodes=np.full(2, 0.5), scales=np.ones(2))
+
+
 def test_scheme_family_realize():
     fam = sampling.legendre_points()
     scheme = fam.realize(7)
     assert scheme.M == 7
-    assert scheme.kind is sampling.SchemeKind.WEIGHTED_POINT_VALUES
-    assert sampling.inner_products().realize(5).kind is sampling.SchemeKind.BASIS_INNER_PRODUCTS
+    assert scheme.nodes is not None
+    assert sampling.inner_products().realize(5).nodes is None
 
 
 @settings(deadline=None, max_examples=25)
