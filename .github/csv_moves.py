@@ -1,9 +1,12 @@
 """Summarize how a CSV output differs from a reference copy of it.
 
-Prints, for each column with a changed cell, the number of changed cells
-and the largest relative move |new - old| / |old| (absolute where old is
-0, "n/a" where a cell is not a number).  The exit status is always 0: the
-caller decides what a difference means.
+Prints, for each column with a changed cell, the number of changed cells,
+the largest relative move |new - old| / |old| (absolute where old is 0,
+"n/a" where a cell is not a number) and the largest ratio
+max(|new / old|, |old / new|) ("inf" where one of the two is 0).  A fall
+by any large factor reads as a move of about 1, so only the ratio shows
+its size.  The exit status is always 0: the caller decides what a
+difference means.
 
     python .github/csv_moves.py OLD.csv NEW.csv
 """
@@ -20,6 +23,20 @@ def _move(old, new):
     return abs(b - a) / abs(a) if a else abs(b - a)
 
 
+def _ratio(old, new):
+    try:
+        a, b = abs(float(old)), abs(float(new))
+    except ValueError:
+        return None
+    if a == b:
+        return 1.0
+    return max(a / b, b / a) if a and b else float("inf")
+
+
+def _worst(worst, value):
+    return None if value is None or worst is None else max(worst, value)
+
+
 def main(old_path, new_path):
     with open(old_path, newline="") as f:
         old = list(csv.reader(f))
@@ -32,13 +49,12 @@ def main(old_path, new_path):
     for old_row, new_row in zip(old[1:], new[1:]):
         for name, a, b in zip(old[0], old_row, new_row):
             if a != b:
-                count, worst = changed.get(name, (0, 0.0))
-                move = _move(a, b)
-                worst = None if move is None or worst is None else max(worst, move)
-                changed[name] = (count + 1, worst)
-    for name, (count, worst) in changed.items():
-        shown = "n/a" if worst is None else f"{worst:.3g}"
-        print(f"  {name}: {count} cells changed, worst relative move {shown}")
+                count, move, ratio = changed.get(name, (0, 0.0, 1.0))
+                changed[name] = (count + 1, _worst(move, _move(a, b)), _worst(ratio, _ratio(a, b)))
+    for name, (count, move, ratio) in changed.items():
+        move = "n/a" if move is None else f"{move:.3g}"
+        ratio = "n/a" if ratio is None else f"{ratio:.6g}"
+        print(f"  {name}: {count} cells changed, worst relative move {move}, worst ratio {ratio}")
 
 
 if __name__ == "__main__":

@@ -20,8 +20,9 @@ Every constant is a function of one (system, factor) pair: the sampled
 system from build_system and the Gram factor of its frame from
 build_gram_factor, computed once per frame.  The richness constant
 A'_{M,N} = sigma_min(G R^-1)^2 (sampling.richness_estimate) is read off
-the same pair, from the blocks of R and G in long double, and it bounds
-both constants by 1/sqrt(A'_{M,N}).
+the same pair in double, from the polynomial columns of G and the
+sampled residuals of the frame's span, and it bounds both constants by
+1/sqrt(A'_{M,N}).
 diagnose returns one report per cutoff for such a pair and computes A'
 once; constants_sweep is one diagnose call per (gamma, N) cell.
 

@@ -81,8 +81,7 @@ def onb_plus_k(N: int, K: int) -> FrameSpec:
 def element_matrix(frame: FrameSpec, x) -> np.ndarray:
     """All frame elements evaluated at the points x, shape (N, len(x)).
 
-    Long double points give long double values, weight included; any other
-    input is evaluated in double.  Evaluation of a weighted element
+    Any input is evaluated in double.  Evaluation of a weighted element
     (row j < K) at x <= 0 is a domain error.  The values are formed from
     one Legendre table, of the highest degree among the polynomials and
     the weighted copies.
@@ -98,11 +97,11 @@ def element_matrix(frame: FrameSpec, x) -> np.ndarray:
         if K > 0 and lowest <= 0.0:
             raise ValueError("weighted frame elements are undefined at x = 0")
     table = legendre_table(max(frame.max_poly_degree, K - 1, 0), x)
-    out = np.empty((N, x.size), dtype=x.dtype)
+    out = np.empty((N, x.size))
     if K > 0:
         out[:K] = np.log(x)[None, :] * table[:K]
         if frame.normalize_psi:
-            out[0] /= np.sqrt(x.dtype.type(_LOG_NORM_SQ))
+            out[0] /= np.sqrt(_LOG_NORM_SQ)
     if N > K:
         out[K:] = table[: N - K]
     return out

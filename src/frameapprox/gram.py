@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -83,7 +83,8 @@ class GramFactor:
     onto the phi_j.  `R` is that factor with its columns in frame order
     (psi first), so R* R is the Gram, ||R x|| is the L2(0, 1) norm of the
     expansion with coefficients x, and R is not triangular.  C ((N - K) x K)
-    and R22 (K x K, upper triangular) are kept in long double for A'.
+    and R22 (K x K, upper triangular) are formed in long double and kept
+    only because R is rounded from them (ROADMAP item 18); A' reads neither.
     `matrix` is the quadrature factor H of the same Gram (H* H = Gram to
     about 1e-13), evaluated on every read for checks that want a route
     independent of the closed forms; no library path uses it.
@@ -128,20 +129,15 @@ def _log_moments(K: int, M: int, dtype=float) -> np.ndarray:
     return s * np.sqrt(2 * k + 1, dtype=dtype) * np.sqrt(2 * m + 1, dtype=dtype)
 
 
-def _system_matrix(frame: FrameSpec, scheme: SamplingScheme, dtype=float) -> np.ndarray:
-    """The M x N sampled matrix: entry (m, j) is functional m applied to element j.
-
-    dtype=np.longdouble evaluates it in long double, from the double nodes
-    and scales taken as exact.
-    """
+def _system_matrix(frame: FrameSpec, scheme: SamplingScheme) -> np.ndarray:
+    """The M x N sampled matrix: entry (m, j) is functional m applied to element j."""
     if scheme.nodes is not None:
-        nodes = scheme.nodes.astype(dtype, copy=False)
-        return scheme.scales.astype(dtype, copy=False)[:, None] * element_matrix(frame, nodes).T
+        return scheme.scales[:, None] * element_matrix(frame, scheme.nodes).T
     # each element's first M Legendre coefficients: I for phi, rows of L for psi
-    G = np.eye(scheme.M, frame.N, frame.K, dtype=dtype)
-    G[:, : frame.K] = _log_moments(frame.K, scheme.M, dtype).T
+    G = np.eye(scheme.M, frame.N, frame.K)
+    G[:, : frame.K] = _log_moments(frame.K, scheme.M).T
     if frame.normalize_psi:
-        G[:, 0] /= np.sqrt(G.dtype.type(_LOG_NORM_SQ))
+        G[:, 0] /= np.sqrt(_LOG_NORM_SQ)
     return G
 
 
@@ -185,7 +181,7 @@ def build_gram_factor(frame: FrameSpec) -> GramFactor:
     if frame.normalize_psi:
         C[:, 0] /= np.sqrt(np.longdouble(_LOG_NORM_SQ))
         Q *= 2
-    R22 = _exact_cholesky(A, Q)
+    R22 = _exact_cholesky(A, Q, range(1, 2 * K, 2))
     R = np.eye(N, N, K)
     R[:n0, :K] = C
     R[n0:, :K] = R22
@@ -233,14 +229,14 @@ def _log_moment_ratio(k: int, j: int, E: int) -> int:
     return -(2 * harmonic - root // (2 * k + 1)) * (root // (2 * k + 1))
 
 
-def _exact_cholesky(A: List[List[int]], Q: int) -> np.ndarray:
-    """Upper-triangular R22 with R22* R22 = D A D / Q, each entry rounded once.
+def _exact_cholesky(A: List[List[int]], Q: int, weights: Sequence[int]) -> np.ndarray:
+    """Upper-triangular R with R* R = D A D / Q, D = diag(sqrt(weights)), each entry rounded once.
 
     Bareiss elimination keeps every intermediate an integer: after step k,
     B[l][k] is the minor of A on rows 0..k-1, l and columns 0..k, and
     B[k][k] is the leading minor Delta_{k+1}.  The LDL* of A has
     d_k = Delta_{k+1} / Delta_k and L[l, k] = B[l][k] / Delta_{k+1}, so
-    R22[k, l] = B[l][k] sqrt((2l + 1) / (Q Delta_k Delta_{k+1})).
+    R[k, l] = B[l][k] sqrt(weights[l] / (Q Delta_k Delta_{k+1})).
     """
     K = len(A)
     B = [row[:] for row in A]
@@ -251,7 +247,7 @@ def _exact_cholesky(A: List[List[int]], Q: int) -> np.ndarray:
         pivot = B[k][k]
         for l in range(k, K):
             b = B[l][k]
-            p[k * K + l] = b * b * (2 * l + 1)
+            p[k * K + l] = b * b * weights[l]
             q[k * K + l] = Q * previous * pivot
             signs[k * K + l] = -1 if b < 0 else 1
         for i in range(k + 1, K):

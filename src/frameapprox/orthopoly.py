@@ -69,23 +69,22 @@ _BLOCK_VALUES = 2**18
 
 
 def _as_nodes(x) -> np.ndarray:
-    """x as a 1-d array of evaluation points: long double stays, anything else is double."""
-    x = np.atleast_1d(np.asarray(x))
-    return x if x.dtype == np.longdouble else x.astype(float, copy=False)
+    """x as a 1-d array of evaluation points in double."""
+    return np.atleast_1d(np.asarray(x, dtype=float))
 
 
 @lru_cache(maxsize=64)
-def _recurrence_constants(capacity: int, dtype: np.dtype):
+def _recurrence_constants(capacity: int):
     """legendre_table's per-degree constants for degrees below capacity, read-only.
 
     Returns the column 2n + 1, the 0-d arrays n, the scale column
-    sqrt(2n + 1) (all in dtype, n = 0..capacity - 1) and the Python float
-    triples (2n + 1, n, n + 1) of the steps n = 1..capacity - 2.  Each
-    constant depends only on its own n, so a table of any lower degree
-    reads prefixes; legendre_table asks for powers of two, which keeps a
-    few entries per dtype alive instead of one per degree.
+    sqrt(2n + 1) (n = 0..capacity - 1) and the Python float triples
+    (2n + 1, n, n + 1) of the steps n = 1..capacity - 2.  Each constant
+    depends only on its own n, so a table of any lower degree reads
+    prefixes; legendre_table asks for powers of two, which keeps a few
+    entries alive instead of one per degree.
     """
-    n = np.arange(capacity, dtype=dtype)
+    n = np.arange(capacity, dtype=float)
     odd = 2 * n + 1
     scale = np.sqrt(odd)[:, None]
     for array in (n, odd, scale):
@@ -99,41 +98,40 @@ def legendre_table(max_degree: int, x) -> np.ndarray:
     """Table of orthonormal shifted Legendre values on [0, 1].
 
     Returns an array of shape (max_degree + 1, len(x)) whose row n holds
-    sqrt(2n + 1) * P_n(2x - 1), an orthonormal family in L2(0, 1).  Long
-    double points give long double values; any other input is evaluated
-    in double.  Row n does not depend on max_degree, so one table of the
-    largest degree a caller needs serves every shorter one.
+    sqrt(2n + 1) * P_n(2x - 1), an orthonormal family in L2(0, 1), in
+    double whatever the type of x.  Row n does not depend on max_degree,
+    so one table of the largest degree a caller needs serves every shorter
+    one.
 
     The three-term recurrence runs in the operation order
     ((2n + 1) t P_n - n P_{n-1}) / (n + 1), and the sqrt(2n + 1) scale is
     applied afterwards.  At the library's sizes the cost is per-call
     overhead, not arithmetic, so the route depends on the nodes:
 
-    - At most _FLOAT_ROUTE_NODES double nodes (error probes, the smallest
-      sampled systems) run the recurrence node by node in Python floats.
-      At 3 nodes and degree 54 that takes 26 us against 104 us through
-      numpy; the two routes cross at about 14 nodes at every degree from 5
-      to 54 (one core of a Xeon VM, Python 3.11, numpy 2.4).
-    - Long double nodes and larger node sets run it in place on the rows of
-      the table with one scratch row, four numpy calls per degree.  The
-      rows (2n + 1) t come from one call per block of at most
-      _COEFFICIENT_BLOCK_VALUES values, and n and n + 1 enter as 0-d
-      arrays of the table's dtype, which numpy takes faster than Python
-      integers.
+    - At most _FLOAT_ROUTE_NODES nodes (error probes, the smallest sampled
+      systems) run the recurrence node by node in Python floats.  At 3
+      nodes and degree 54 that takes 26 us against 104 us through numpy;
+      the two routes cross at about 14 nodes at every degree from 5 to 54
+      (one core of a Xeon VM, Python 3.11, numpy 2.4).
+    - Larger node sets run it in place on the rows of the table with one
+      scratch row, four numpy calls per degree.  The rows (2n + 1) t come
+      from one call per block of at most _COEFFICIENT_BLOCK_VALUES values,
+      and n and n + 1 enter as 0-d arrays, which numpy takes faster than
+      Python integers.
 
     Python floats are IEEE doubles, and the float route makes numpy's
     operations, each correctly rounded, on the same operands in the same
     order (2n + 1, n and n + 1 are exact), so both routes give the table
-    of the plain loop to the bit.  The constants are built once per dtype
-    and power of two of the degree (_recurrence_constants).
+    of the plain loop to the bit.  The constants are built once per power
+    of two of the degree (_recurrence_constants).
     """
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
     x = _as_nodes(x)
     capacity = 1 << operator.index(max_degree).bit_length()
-    odd, scalars, scale, steps = _recurrence_constants(capacity, x.dtype)
+    odd, scalars, scale, steps = _recurrence_constants(capacity)
     scale = scale[: max_degree + 1]
-    if x.dtype == np.float64 and x.ndim == 1 and x.size <= _FLOAT_ROUTE_NODES:
+    if x.ndim == 1 and x.size <= _FLOAT_ROUTE_NODES:
         steps = steps[: max(max_degree - 1, 0)]
         columns = []
         for t in (2.0 * x - 1.0).tolist():
@@ -147,13 +145,13 @@ def legendre_table(max_degree: int, x) -> np.ndarray:
         table = np.array(columns).reshape(x.size, max_degree + 1)
         return np.multiply(table.T, scale, order="C")
     t = 2.0 * x - 1.0
-    table = np.empty((max_degree + 1, x.size), dtype=x.dtype)
+    table = np.empty((max_degree + 1, x.size))
     table[0] = 1.0
     if max_degree >= 1:
         table[1] = t
     rows = list(table)
     step = max(1, _COEFFICIENT_BLOCK_VALUES // max(x.size, 1))
-    coefficients = np.empty((min(step, max_degree), x.size), dtype=x.dtype)
+    coefficients = np.empty((min(step, max_degree), x.size))
     scratch = np.empty_like(t)
     for start in range(1, max_degree, step):
         block = coefficients[: min(step, max_degree - start)]

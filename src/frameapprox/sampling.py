@@ -9,7 +9,9 @@ Legendre orthonormal basis, integrated by quadrature only in `sample`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
@@ -25,6 +27,7 @@ from .orthopoly import (
 )
 
 if TYPE_CHECKING:  # gram imports this module
+    from .frames import FrameSpec
     from .gram import GramFactor, GramSystem
 
 __all__ = [
@@ -196,18 +199,30 @@ def richness_estimate(system: GramSystem, factor: GramFactor) -> float:
     """Lower discrete-norm constant A'_{M,N} of a sampled system over its frame.
 
     Returns the smallest value of ||g||_M^2 over functions g in the span
-    of the frame's N elements with unit L2 norm: the smallest generalized
-    eigenvalue of the pair (G* G, Gram), with G the system matrix and
-    Gram = R* R from the frame's Gram factor, that is sigma_min(G R^-1)^2.
-    G is evaluated again in long double for it.  Requires M >= N.
-    """
-    from .gram import _system_matrix  # gram imports this module
+    of the frame's N elements with unit L2 norm.  That depends only on the
+    span, which with n = N - K is the polynomials of degree below n plus
+    the K residuals r_l = (I - P_n)[log(x) x^l], l < K, P_n the L2(0, 1)
+    projection onto those polynomials.  The residuals are orthogonal to
+    the polynomials, so with R_w* R_w their Gram and Y their sampled
+    values (`_residual_samples`),
 
+        A' = sigma_min([G_Phi, Y R_w^-1])^2,
+
+    G_Phi the polynomial columns of the system's own double matrix.  The
+    basis log(x) x^l, unlike log(x) phi_k, keeps the residuals' Gram far
+    from singular after scaling, which lets all of it run in double.
+    Requires M >= N.
+    """
     _check_factor(system, factor)
     if system.M < system.N:
         raise ValueError("richness estimate requires M >= N")
-    G = _system_matrix(system.frame, system.scheme, np.longdouble)
-    return _richness_from_matrices(G, factor.R22, factor.C)
+    K = system.frame.K
+    if K:
+        R_w = _residual_basis(K, system.N - K)[0]
+        Y = _residual_samples(system.frame, system.scheme)
+    else:
+        R_w, Y = np.empty((0, 0)), np.empty((system.M, 0))
+    return _richness_from_matrices(system.matrix[:, K:], R_w, Y)
 
 
 def _check_factor(system: GramSystem, factor: GramFactor) -> None:
@@ -216,24 +231,156 @@ def _check_factor(system: GramSystem, factor: GramFactor) -> None:
         raise ValueError("factor is not the Gram factor of the system's frame")
 
 
-def _richness_from_matrices(G: np.ndarray, R22: np.ndarray, C: np.ndarray) -> float:
-    """sigma_min(G R^-1)^2 from the blocks of the Gram factor, in long double up to the SVD.
-
-    G is the long double M x N system in frame order, [G_Psi, G_Phi].  In
-    the order [Phi, Psi], R = [[I, C], [0, R22]] and R^-1 = [[I, -C R22^-1],
-    [0, R22^-1]], so G R^-1 = [G_Phi, Z] with Z = (G_Psi - G_Phi C) R22^-1:
-    K columns, formed by back substitution.  The difference G_Psi - G_Phi C
-    cancels most of G_Psi, which is why it is taken in long double; only
-    the SVD of [G_Phi, Z] is in double.  For inner products G_Psi and C are
-    rows of the same long double `gram._log_moments`, so the first N - K
-    rows of the difference are exactly 0.  Where np.longdouble is double
-    (Windows, macOS on arm64) the whole route has only double accuracy.
-    """
-    K = R22.shape[0]
-    G_phi = G[:, K:]
-    Z = G[:, :K] - G_phi @ C
-    for l in range(K):
-        Z[:, l] = (Z[:, l] - Z[:, :l] @ R22[:l, l]) / R22[l, l]
-    X = np.concatenate((G_phi, Z), axis=1, dtype=float)
-    smallest = np.linalg.svd(X, compute_uv=False)[-1]
+def _richness_from_matrices(G_phi: np.ndarray, R_w: np.ndarray, Y: np.ndarray) -> float:
+    """sigma_min([G_Phi, Y R_w^-1])^2, forming Y R_w^-1 in place by back substitution."""
+    for l in range(Y.shape[1]):
+        Y[:, l] = (Y[:, l] - Y[:, :l] @ R_w[:l, l]) / R_w[l, l]
+    smallest = np.linalg.svd(np.concatenate((G_phi, Y), axis=1), compute_uv=False)[-1]
     return float(smallest**2)
+
+
+# values per row block of the kernel 1 / (x + t) in _residual_samples (64 KiB)
+_KERNEL_BLOCK_VALUES = 2**13
+
+
+@lru_cache(maxsize=64)
+def _residual_basis(K: int, n: int):
+    """R_w, the t-nodes and the kernel weights of the residuals r_l, l < K, past degree n.
+
+    R_w is the upper-triangular factor of the Gram W' of the r_l.  With
+    x^l = sum_k B[k, l] P_k(2x - 1), B[k, l] = (2k + 1) l!^2 / ((l - k)!
+    (l + k + 1)!), W' = B* S B for build_gram_factor's tail Gram S = A / Q,
+    integral once B is scaled by (2K - 1)!, and its factor is exact up to
+    the rounding of each entry (gram._exact_cholesky).  A double Cholesky
+    of W', even with unit diagonal, breaks down at K = 14 for some n and
+    from K = 16 on at every n tried (15, 35, 55 and 195).
+
+    For l < n the residuals have an integral form with no cancellation.
+    From log(x) = int_0^inf (1 / (1 + t) - 1 / (x + t)) dt and the
+    Christoffel-Darboux formula for the projection of 1 / (x + t),
+
+        r_l(x) = (-1)^l b_n int_0^inf t^l [phi_n(x) q_{n-1}(t)
+                 - phi_{n-1}(x) q_n(t)] / (x + t) dt,
+
+    with b_n = n / (2 sqrt(4n^2 - 1)) and q_j(t) = int_0^1 phi_j(y) /
+    (y + t) dy = 2 (-1)^j sqrt(2j + 1) Q_j(1 + 2t), Q_j the Legendre
+    functions of the second kind (Gautschi, Orthogonal Polynomials, 2004).
+    The integrand decays only like t^(l - n - 1), so the rule covers all of
+    (0, inf): t = u^2 on (0, 1] and t = 1 / u on [1, inf), with u on
+    hp_log_quadrature(24, 12), 600 nodes.  The weights are the rule's
+    times every factor of the integrand but 1 / (x + t) and phi(x): with
+    L = min(n, K), column l < L is the phi_n(x) term of r_l, and column
+    L + l its phi_{n-1}(x) term.
+    """
+    from .gram import _exact_cholesky, _tail_gram  # gram imports this module
+
+    A, Q = _tail_gram(K, n)
+    f = math.factorial
+    B = [[(2 * k + 1) * (f(l) // f(l - k)) * (f(l) * f(2 * K - 1) // f(l + k + 1)) if k <= l
+          else 0 for l in range(K)] for k in range(K)]
+    BA = [[sum(B[i][k] * A[i][j] for i in range(K)) for j in range(K)] for k in range(K)]
+    W = [[sum(BA[k][j] * B[j][l] for j in range(K)) for l in range(K)] for k in range(K)]
+    R_w = _exact_cholesky(W, Q * f(2 * K - 1) ** 2, [1] * K).astype(float)
+    R_w.setflags(write=False)
+    if n == 0:
+        return R_w, None, None
+    rule = hp_log_quadrature(levels=24, order=12)
+    u, w = rule.nodes, rule.weights
+    t = np.concatenate((u * u, 1.0 / u))
+    w = np.concatenate((2.0 * u * w, w / (u * u)))
+    Q_low, Q_high = _second_kind_pair(n, t)
+    b = n / (2.0 * math.sqrt(4.0 * n * n - 1.0))
+    sign = -1.0 if n % 2 else 1.0  # (-1)^n
+    q_low = -2.0 * sign * math.sqrt(2 * n - 1) * Q_low
+    q_high = 2.0 * sign * math.sqrt(2 * n + 1) * Q_high
+    powers = np.power.outer(-t, np.arange(min(n, K))) * (b * w)[:, None]
+    weights = np.concatenate((powers * q_low[:, None], -powers * q_high[:, None]), axis=1)
+    t.setflags(write=False)
+    weights.setflags(write=False)
+    return R_w, t, weights
+
+
+def _second_kind_pair(n: int, t: np.ndarray):
+    """Q_{n-1}(1 + 2t) and Q_n(1 + 2t) for n >= 1 and t > 0, to a few units of roundoff.
+
+    From Q_0 = log1p(1 / t) / 2, the three-term recurrence
+    (j + 1) Q_{j+1} = (2j + 1) z Q_j - j Q_{j-1}, z = 1 + 2t, runs forward
+    where t < 1 / n^2, which loses at most a factor of about e^4 to
+    cancellation.  Above that Q_j is the recurrence's minimal solution,
+    and the ratios Q_j / Q_{j-1} come from it backward, started at 0 far
+    enough past n that the start's error has decayed below roundoff
+    (Gautschi, SIAM Review 9, 1967).
+    """
+    z = 1.0 + 2.0 * t
+    Q0 = 0.5 * np.log1p(1.0 / t)
+    low, high = np.empty_like(t), np.empty_like(t)
+    forward = t < 1.0 / (n * n)
+    a, c, zf = Q0[forward], z[forward] * Q0[forward] - 1.0, z[forward]
+    for j in range(1, n):
+        a, c = c, ((2 * j + 1) * zf * c - j * a) / (j + 1)
+    low[forward], high[forward] = a, c
+    zb = z[~forward]
+    if zb.size:
+        # the start's error shrinks by (z + sqrt(z^2 - 1))^-2 per step
+        decay = math.log(float(zb.min()) + math.sqrt(float(zb.min()) ** 2 - 1.0))
+        ratio, product = np.zeros_like(zb), Q0[~forward]
+        for j in range(n + math.ceil(20.0 / decay), 0, -1):
+            ratio = j / ((2 * j + 1) * zb - (j + 1) * ratio)
+            if j < n:
+                product = product * ratio
+            elif j == n:
+                last = ratio
+        low[~forward], high[~forward] = product, product * last
+    return low, high
+
+
+def _residual_samples(frame: FrameSpec, scheme: SamplingScheme) -> np.ndarray:
+    """The M x K samples of the residuals r_l = (I - P_n)[log(x) x^l], l < K, n = N - K.
+
+    Inner products read exact moments: row j is <log(x) x^l, phi_j> for
+    j >= n and 0 below (`_log_monomial_moment`).  Point values s_m r_l(x_m)
+    take the integral of `_residual_basis` for l < n, on a kernel
+    1 / (x + t) formed in row blocks of at most _KERNEL_BLOCK_VALUES
+    values, with phi_{n-1} and phi_n from legendre_table.  For l >= n,
+    which happens when N < 2K, the integral diverges, and the n-term
+    projection is subtracted from log(x) x^l directly.
+    """
+    K, n = frame.K, frame.N - frame.K
+    if scheme.nodes is None:  # inner products
+        Y = np.zeros((scheme.M, K))
+        for j in range(n, scheme.M):
+            Y[j] = [_log_monomial_moment(j, l) * math.sqrt(2 * j + 1) for l in range(K)]
+        return Y
+    x = scheme.nodes
+    table = legendre_table(n, x)
+    Y = np.empty((x.size, K))
+    L = min(n, K)
+    if L:
+        _, t, weights = _residual_basis(K, n)
+        F = np.empty((x.size, 2 * L))
+        step = max(1, _KERNEL_BLOCK_VALUES // t.size)
+        for start in range(0, x.size, step):
+            rows = slice(start, start + step)
+            F[rows] = (1.0 / (x[rows, None] + t)) @ weights
+        Y[:, :L] = table[n][:, None] * F[:, :L] + table[n - 1][:, None] * F[:, L:]
+    for l in range(L, K):
+        moments = np.array([_log_monomial_moment(j, l) * math.sqrt(2 * j + 1) for j in range(n)])
+        Y[:, l] = np.log(x) * x**l - moments @ table[:n]
+    return scheme.scales[:, None] * Y
+
+
+def _log_monomial_moment(j: int, l: int) -> float:
+    """<log(x) x^l, phi_j> / sqrt(2j + 1) in closed form, correctly rounded.
+
+    For j > l it is (-1)^(j-l-1) l!^2 (j - l - 1)! / (j + l + 1)!, and for
+    j <= l it is l!^2 / ((l - j)! (l + j + 1)!) (2 H_l - H_{l-j} - H_{l+j+1}),
+    H the harmonic numbers.  Each is one quotient of integers, which
+    Python rounds once.
+    """
+    f = math.factorial
+    if j > l:
+        return (-1) ** (j - l - 1) * f(l) ** 2 / math.prod(range(j - l, j + l + 2))
+    # P H_m is an integer for m <= l + j + 1
+    P = f(l + j + 1)
+    H = [sum(P // i for i in range(1, m + 1)) for m in (l, l - j, l + j + 1)]
+    return f(l) ** 2 * (2 * H[0] - H[1] - H[2]) / (f(l - j) * P * P)

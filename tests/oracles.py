@@ -12,6 +12,8 @@ closed forms and the algorithm, and agreement is evidence and not
 tautology.
 """
 
+import math
+
 import numpy as np
 
 
@@ -62,3 +64,66 @@ def random_vector_lower_estimate(system, factor, epsilon, draws, rng):
         x = (system.Vt.T * inv) @ (system.U.T @ y)
         best = max(best, float(np.linalg.norm(H @ x)))
     return best
+
+
+def oracle_richness(frame, scheme):
+    """A'_{M,N} in extended precision, from a basis of the frame's span.
+
+    A' is the smallest value of ||g||_M^2 over unit-norm g in the span, so
+    any basis of the span serves: here x^i (i < N - K) and log(x) x^l
+    (l < K), whose Gram is exact, 1 / (i + j + 1), -1 / (i + l + 1)^2 and
+    2 / (l + m + 1)^3.  Point values are taken at the double nodes and
+    scales as exact; inner products are exact rationals times
+    sqrt(2j + 1), from the monomial coefficients of phi_j.  The smallest
+    eigenvalue of L^-1 G* G L^-*, with L L* the Gram, comes from
+    mp.eigsy at max(60, 4N) digits.
+    """
+    from fractions import Fraction
+
+    import mpmath
+
+    K, N = frame.K, frame.N
+    n = N - K
+    with mpmath.workdps(max(60, 4 * N)):
+        mp = mpmath.mp
+        if scheme.nodes is not None:
+            rows = []
+            for x, s in zip(scheme.nodes, scheme.scales):
+                x, s = mp.mpf(float(x)), mp.mpf(float(s))
+                rows.append([s * x**i for i in range(n)]
+                            + [s * mp.log(x) * x**l for l in range(K)])
+        else:
+            def coefficients(j):
+                # phi_j / sqrt(2j + 1) = sum_i (-1)^(j+i) C(j, i) C(j+i, i) x^i
+                return [(-1) ** (j + i) * math.comb(j, i) * math.comb(j + i, i)
+                        for i in range(j + 1)]
+
+            rows = []
+            for j in range(scheme.M):
+                a = coefficients(j)
+                root = mp.sqrt(2 * j + 1)
+                rows.append([root * _mp_fraction(sum(Fraction(c, i + p + 1) for i, c in enumerate(a)))
+                             for p in range(n)]
+                            + [root * _mp_fraction(sum(Fraction(-c, (i + l + 1) ** 2)
+                                                       for i, c in enumerate(a)))
+                               for l in range(K)])
+        G = mp.matrix(rows)
+        gram = mp.matrix(N, N)
+        for a in range(N):
+            for b in range(N):
+                if a < n and b < n:
+                    gram[a, b] = mp.mpf(1) / (a + b + 1)
+                elif a < n or b < n:
+                    i, l = min(a, b), max(a, b) - n
+                    gram[a, b] = -mp.mpf(1) / (i + l + 1) ** 2
+                else:
+                    gram[a, b] = mp.mpf(2) / (a + b - 2 * n + 1) ** 3
+        L_inv = mp.inverse(mp.cholesky(gram))
+        X = G * L_inv.T
+        return float(min(mp.eigsy(X.T * X, eigvals_only=True)))
+
+
+def _mp_fraction(value):
+    import mpmath
+
+    return mpmath.mpf(value.numerator) / value.denominator

@@ -202,9 +202,10 @@ def test_sweep_grid_and_ordering():
 
 
 def test_sweep_factors_each_frame_once(monkeypatch):
-    # one Gram factor per frame; per (gamma, N) cell one A' from its blocks
-    # and one product U* G for the Rayleigh quotients of every cutoff's kappa
-    calls = {"build_gram_factor": 0, "_richness_from_matrices": 0, "einsum": 0}
+    # one Gram factor per frame; per (gamma, N) cell one sampling of the
+    # residuals for A' and one product U* G for the Rayleigh quotients of
+    # every cutoff's kappa
+    calls = {"build_gram_factor": 0, "_residual_samples": 0, "einsum": 0}
 
     def counting(module, name):
         real = getattr(module, name)
@@ -216,14 +217,28 @@ def test_sweep_factors_each_frame_once(monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     counting(diagnostics, "build_gram_factor")
-    counting(sampling, "_richness_from_matrices")
+    counting(sampling, "_residual_samples")
     counting(np, "einsum")
     rows = diagnostics.constants_sweep(
         lambda n: frames.onb_plus_k(n, 2),
         sampling.legendre_points(),
         gammas=(1.0, 1.5, 2.0, 3.0), Ns=(5, 10), epsilons=(1e-5, 1e-8))
     assert len(rows) == 16
-    assert calls == {"build_gram_factor": 2, "_richness_from_matrices": 8, "einsum": 8}
+    assert calls == {"build_gram_factor": 2, "_residual_samples": 8, "einsum": 8}
+
+
+def test_ssr_leaves_the_richness_data_unbuilt():
+    # the residual Gram factor and the t-rule are built for A' only, once
+    # per (K, N - K)
+    sampling._residual_basis.cache_clear()
+    frame = frames.onb_plus_k(20, 5)
+    M = diagnostics.stable_sampling_rate(frame, sampling.legendre_points(), 2.0, 1e-5)
+    assert M is not None and sampling._residual_basis.cache_info().currsize == 0
+    factor = gram.build_gram_factor(frame)
+    for M in (20, 40):
+        sampling.richness_estimate(gram.build_system(frame, sampling.legendre_point_scheme(M)),
+                                   factor)
+    assert sampling._residual_basis.cache_info().currsize == 1
 
 
 def test_ssr_pure_basis_needs_no_oversampling():

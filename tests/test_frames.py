@@ -1,6 +1,5 @@
 """Frame construction, element evaluation, and synthesis."""
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -83,37 +82,6 @@ def test_element_matrix_domain_errors():
     for bad in (-1.0, 2.0, 0.0):
         with pytest.raises(ValueError):
             frames.element_matrix(frame, np.array([np.nan, bad]))
-
-
-def _mp_elements(frame, x):
-    # every element at the exact value of each point, 40 digits
-    cols = []
-    with mpmath.workdps(40):
-        for xi in x:
-            p, q = xi.as_integer_ratio()
-            t = mpmath.mpf(p) / q
-            poly = [mpmath.sqrt(2 * n + 1) * mpmath.legendre(n, 2 * t - 1)
-                    for n in range(max(frame.K, frame.N - frame.K))]
-            cols.append([mpmath.log(t) * v for v in poly[:frame.K]] + poly[:frame.N - frame.K])
-    return np.array(cols, dtype=object).T
-
-
-def test_long_double_points_give_long_double_elements():
-    frame = frames.onb_plus_k(20, 5)
-    x = np.linspace(0.01, 0.99, 9, dtype=np.longdouble) / 3
-    elems = frames.element_matrix(frame, x)
-    assert elems.dtype == np.longdouble
-    assert orthopoly.legendre_table(19, x).dtype == np.longdouble
-    assert frames.element_matrix(frame, x.astype(np.float32)).dtype == np.float64
-    eps = np.finfo(np.longdouble).eps
-    if eps < np.finfo(float).eps:  # else long double is double on this platform
-        ref = _mp_elements(frame, x)
-        with mpmath.workdps(40):
-            err = max(abs(mpmath.mpf(p) / q - r) for v, r in zip(elems.ravel(), ref.ravel())
-                      for p, q in [v.as_integer_ratio()])
-            scale = max(abs(r) for r in ref.ravel())
-        # the long double error is about 5 eps; double evaluation gives 6e3 eps
-        assert err < 64 * eps * scale
 
 
 @settings(deadline=None)

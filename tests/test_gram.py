@@ -102,14 +102,15 @@ def test_point_systems_stack_to_the_bit(name, K):
     assert np.array_equal(gram._system_matrix(frame, stacked), expected)
 
 
+# the long double log moments are the Gram factor's C
 @pytest.mark.parametrize("dtype", [float, np.longdouble])
 @pytest.mark.parametrize("K", [0, 1, 5])
 def test_inner_product_systems_are_row_prefixes_to_the_bit(K, dtype):
     N = 12
     frame = frames.onb_plus_k(N, K)
-    longest = gram._system_matrix(frame, sampling.inner_product_scheme(3 * N), dtype)
+    longest = gram._system_matrix(frame, sampling.inner_product_scheme(3 * N))
     for M in (N, N + 1, 2 * N):
-        G = gram._system_matrix(frame, sampling.inner_product_scheme(M), dtype)
+        G = gram._system_matrix(frame, sampling.inner_product_scheme(M))
         assert np.array_equal(G, longest[:M])
         assert np.array_equal(gram._log_moments(K, M, dtype),
                               gram._log_moments(K, 3 * N, dtype)[:, :M])

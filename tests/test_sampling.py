@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from frameapprox import frames, gram, orthopoly, sampling
+
+_POINT_SCHEMES = {
+    "legendre": sampling.legendre_point_scheme,
+    "equispaced": sampling.equispaced_point_scheme,
+    "chebyshev-weighted": lambda M: sampling.chebyshev_point_scheme(M, weighted=True),
+}
 
 
 def test_point_scheme_scales():
@@ -150,11 +157,21 @@ def test_richness_pure_basis_inner_products_is_one():
     assert abs(value - 1.0) < 1e-10
 
 
+def _oracle_tolerance(K, value):
+    # the double SVD resolves about u ||X|| / sigma_min; K = 12 is near the
+    # end of the range where the residual basis log(x) x^l serves in double
+    if K == 12:
+        return 1e-6
+    return 1e-9 if value >= 1e-13 else 1e-8
+
+
 def test_richness_of_inner_products_matches_frozen_oracle():
-    # smallest eigenvalue of R^-T G^T G R^-1 at 50 digits, from the exact
-    # log moments in G and the exact Gram of onb_plus_k(20, 5)
-    value = _richness(frames.onb_plus_k(20, 5), sampling.inner_product_scheme(40))
-    assert value == pytest.approx(2.8227907655603e-2, rel=1e-6)
+    # oracle_richness at 60 and 240 digits, from the exact log moments in G
+    # and the exact Gram of the span
+    for N, M, value in [(20, 40, 2.8227907655603e-2), (60, 60, 5.5234076661932e-12),
+                        (60, 120, 5.6040176252953e-3)]:
+        estimate = _richness(frames.onb_plus_k(N, 5), sampling.inner_product_scheme(M))
+        assert estimate == pytest.approx(value, rel=_oracle_tolerance(5, value), abs=0)
 
 
 def test_richness_regression_enriched_gauss_points():
@@ -165,27 +182,35 @@ def test_richness_regression_enriched_gauss_points():
     assert value == pytest.approx(2.3898798895513e-4, rel=1e-6)
 
 
-@pytest.mark.parametrize("scheme, value", [
-    (sampling.legendre_point_scheme(80), 2.4855107456829e-5),
-    (sampling.legendre_point_scheme(180), 2.2493656140048e-3),
-    (sampling.equispaced_point_scheme(50), 1.2848908603915e-14),
-], ids=["legendre-40-80", "legendre-60-180", "equispaced-25-50"])
-def test_richness_at_points_matches_frozen_oracle(scheme, value):
-    # 45-digit oracle: mpmath elements at the double nodes and scales, taken
-    # as exact, against the exact Gram of the closed forms; a double G
-    # misses these by 1e-2 and more
-    N = {80: 40, 180: 60, 50: 25}[scheme.M]
-    assert _richness(frames.onb_plus_k(N, 5), scheme) == pytest.approx(value, rel=1e-4, abs=0)
+@pytest.mark.parametrize("family, K, N, M, value", [
+    pytest.param("legendre", 5, 40, 80, 2.4855107456829e-5, id="legendre-40-80"),
+    pytest.param("legendre", 5, 60, 180, 2.2493656140048e-3, id="legendre-60-180"),
+    pytest.param("equispaced", 5, 25, 50, 1.2848908603915e-14, id="equispaced-25-50"),
+    pytest.param("legendre", 5, 20, 20, 3.2405123359283e-13, id="legendre-20-20"),
+    pytest.param("legendre", 5, 20, 40, 2.3898798893995e-4, id="legendre-20-40"),
+    pytest.param("legendre", 5, 60, 90, 1.2967369847029e-8, id="legendre-60-90"),
+    pytest.param("legendre", 5, 60, 120, 1.1024056860818e-5, id="legendre-60-120"),
+    pytest.param("legendre", 8, 20, 40, 1.0644478681601e-5, id="legendre-K8-20-40"),
+    pytest.param("legendre", 12, 24, 48, 2.4731617454604e-7, id="legendre-K12-24-48"),
+    pytest.param("legendre", 8, 40, 80, 4.3429647120857e-8, id="legendre-K8-40-80"),
+])
+def test_richness_at_points_matches_frozen_oracle(family, K, N, M, value):
+    # oracle_richness: the span's exact Gram and mpmath point values at the
+    # double nodes and scales, taken as exact
+    scheme = _POINT_SCHEMES[family](M)
+    estimate = _richness(frames.onb_plus_k(N, K), scheme)
+    assert estimate == pytest.approx(value, rel=_oracle_tolerance(K, value), abs=0)
 
 
-def test_inner_product_psi_rows_cancel_against_the_factor():
-    # G_Psi - G_Phi C vanishes exactly on the first N - K rows, because both
-    # come from the same long double log moments
-    frame = frames.onb_plus_k(20, 5)
-    C = gram.build_gram_factor(frame).C
-    G = gram._system_matrix(frame, sampling.inner_product_scheme(40), np.longdouble)
-    Y = G[:, :5] - G[:, 5:] @ C
-    assert np.all(Y[:15] == 0) and np.all(Y[15:] != 0)
+@pytest.mark.parametrize("family, K, N, M", [
+    ("legendre", 5, 7, 14), ("legendre", 5, 9, 18), ("legendre", 8, 20, 40),
+    ("chebyshev-weighted", 8, 20, 40), ("legendre", 12, 24, 48),
+])
+def test_richness_matches_the_extended_precision_oracle(family, K, N, M):
+    # N < 2K in the first two cells, where some residuals are projected directly
+    frame, scheme = frames.onb_plus_k(N, K), _POINT_SCHEMES[family](M)
+    value = oracles.oracle_richness(frame, scheme)
+    assert _richness(frame, scheme) == pytest.approx(value, rel=_oracle_tolerance(K, value), abs=0)
 
 
 def test_richness_increases_with_oversampling():
