@@ -24,7 +24,13 @@ the same pair in double, from the polynomial columns of G and the
 sampled residuals of the frame's span, and it bounds both constants by
 1/sqrt(A'_{M,N}).
 diagnose returns one report per cutoff for such a pair and computes A'
-once; constants_sweep is one diagnose call per (gamma, N) cell.
+once.  constants_sweep gives each (gamma, N) cell the reports diagnose
+would, to the bit, but evaluates each frame once per stack of cells: the
+distinct M of one N, in ascending order and in runs of at most
+_CHUNK_VALUES stacked matrix values or a single M, as the chunks of
+stable_sampling_rate below.  One Legendre table on a stack's nodes gives
+G and the rows phi_{n-1}, phi_n (and below n when N < 2K) that A' reads,
+and the cells' systems are then formed on their rows one at a time.
 
 kappa divides by the kept singular values, and the SVD returns the small
 ones with an absolute error of about u ||G|| (u the unit roundoff), a
@@ -70,10 +76,12 @@ third witness made searches slower (ROADMAP, "Tried and not planned").
 
 The grid is scanned in chunks of consecutive steps: as many as fit in
 _CHUNK_VALUES (2^14) stacked matrix values, and always at least one.  A
-chunk's matrices come from one _system_matrix call: on one point scheme
-whose nodes and scales are those of its steps, concatenated, or as row
-prefixes of the inner-product matrix of the chunk's largest M.  Every
-entry is formed elementwise, so each step's block is its G to the bit.
+chunk's matrices come from one _stacked_matrix call, as a constants
+stack's do: one _system_matrix call on one point scheme whose nodes and
+scales are those of its steps, concatenated, or row prefixes of the
+inner-product matrix of the chunk's largest M.  Every entry is formed
+elementwise, so each step's block is its G to the bit, and each step's
+scheme is realized once.
 One witness test covers all remaining steps of the chunk at once: a step
 fails without an SVD when, for some witness z,
 
@@ -136,15 +144,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .blas import one_blas_thread
-from .frames import FrameSpec
-from .gram import GramFactor, GramSystem, _system_matrix, build_gram_factor, build_system
+from .frames import FrameSpec, _node_table
+from .gram import GramFactor, GramSystem, _system_matrix, build_gram_factor
 from .sampling import (
-    SamplingScheme, SchemeFamily, _check_factor, richness_estimate,
+    SamplingScheme, SchemeFamily, _check_factor, _richness_from_table, richness_estimate,
 )
 
 __all__ = [
@@ -238,7 +246,13 @@ def diagnose(
 
     A'_{M,N} does not depend on the cutoff and is computed once.
     """
-    a_prime = richness_estimate(system, factor)
+    return _reports(system, factor, epsilons, richness_estimate(system, factor))
+
+
+def _reports(
+    system: GramSystem, factor: GramFactor, epsilons: Sequence[float], a_prime: float
+) -> List[DiagnosticsReport]:
+    """diagnose's reports, given the system's A'_{M,N}."""
     s = system.singular_values
     return [
         DiagnosticsReport(
@@ -288,17 +302,10 @@ def stable_sampling_rate(
 
     factor = build_gram_factor(frame)
     R_norm = np.linalg.norm(factor.R)
-    grid = range(N, M_max + 1, stride)
     witnesses = None
-    first = 0
-    while first < len(grid):
-        # the chunk: steps first, ..., last - 1
-        last, rows = first + 1, grid[first]
-        while last < len(grid) and (rows + grid[last]) * N <= _CHUNK_VALUES:
-            rows += grid[last]
-            last += 1
-        G = _stacked_matrix(frame, scheme_family, grid[first:last])
-        Ms = np.array(grid[first:last])
+    for chunk in _stacks(range(N, M_max + 1, stride), N):
+        G, schemes, _ = _stacked_matrix(frame, scheme_family, chunk)
+        Ms = np.array(chunk)
         starts = np.cumsum(Ms) - Ms
         # each step's ||G||_F, which no witness changes
         G_norms = np.sqrt(np.add.reduceat(np.einsum("ij,ij->i", G, G), starts))
@@ -313,7 +320,7 @@ def stable_sampling_rate(
                 step += int(open_steps[0])
             M = int(Ms[step])
             system = GramSystem.from_matrix(G[starts[step]:starts[step] + M], frame=frame,
-                                            scheme=scheme_family.realize(M))
+                                            scheme=schemes[step])
             # lambda cannot rescue a step that kappa alone fails, so it is
             # only computed when kappa passes
             if (compute_kappa(system, factor, epsilon) <= theta
@@ -325,30 +332,54 @@ def stable_sampling_rate(
             witnesses = (Z, np.linalg.norm(factor.R @ Z, axis=0),
                          epsilon * np.linalg.norm(Z, axis=0))
             step += 1
-        first = last
     return None
 
 
-def _stacked_matrix(frame: FrameSpec, scheme_family: SchemeFamily, Ms: Sequence[int]) -> np.ndarray:
-    """The family's matrices at each M in Ms, stacked by rows, from one _system_matrix call.
+def _stacks(Ms: Sequence[int], N: int) -> Iterator[Sequence[int]]:
+    """Runs of consecutive entries of Ms, each of at most _CHUNK_VALUES values or one M.
+
+    A run of an M x N matrix per entry holds sum(run) * N values.  Ms may
+    be a lazy range: each run is sliced off as it is reached.
+    """
+    first = 0
+    while first < len(Ms):
+        last, rows = first + 1, Ms[first]
+        while last < len(Ms) and (rows + Ms[last]) * N <= _CHUNK_VALUES:
+            rows += Ms[last]
+            last += 1
+        yield Ms[first:last]
+        first = last
+
+
+def _stacked_matrix(
+    frame: FrameSpec, scheme_family: SchemeFamily, Ms: Sequence[int], degree: Optional[int] = None
+) -> Tuple[np.ndarray, List[SamplingScheme], Optional[np.ndarray]]:
+    """The family's matrices at each M in Ms stacked by rows, their schemes, and a table.
 
     Point schemes are evaluated as one scheme on their concatenated nodes
-    and scales.  Inner-product matrices are row prefixes of the one at the
-    largest M, the last (_log_moments), and no other M is realized.  Every
-    entry is formed elementwise from its own node or index, so each block
-    equals the matrix of its M built alone, to the bit.
+    and scales.  Given a degree, the elements are read from the Legendre
+    table of the stacked nodes of that degree or the frame's, if higher
+    (frames._node_table), which is returned with them; otherwise the table
+    is None and freed before the matrix is formed, as in build_system.
+    Inner-product matrices are row prefixes of the one at the largest M,
+    the last (_log_moments), and their table is None.  Every entry is
+    formed elementwise from its own node or index, so each block equals the
+    matrix of its M built alone, to the bit, and each column block of the
+    table the table of its M.
     """
-    last = scheme_family.realize(Ms[-1])
-    if last.nodes is None:  # inner products
-        G = _system_matrix(frame, last)
-        return np.concatenate([G[:M] for M in Ms])
-    schemes = [scheme_family.realize(M) for M in Ms[:-1]] + [last]
+    schemes = [scheme_family.realize(M) for M in Ms]
+    if schemes[-1].nodes is None:  # inner products
+        G = _system_matrix(frame, schemes[-1])
+        return np.concatenate([G[:M] for M in Ms]), schemes, None
     stacked = SamplingScheme(
         M=sum(Ms),
         nodes=np.concatenate([scheme.nodes for scheme in schemes]),
         scales=np.concatenate([scheme.scales for scheme in schemes]),
     )
-    return _system_matrix(frame, stacked)
+    if degree is None:
+        return _system_matrix(frame, stacked), schemes, None
+    table = _node_table(frame, stacked.nodes, degree)
+    return _system_matrix(frame, stacked, table), schemes, table
 
 
 def _ruled_out(
@@ -384,16 +415,31 @@ def constants_sweep(
 ) -> List[Tuple[float, DiagnosticsReport]]:
     """(gamma, report) over the grid M = ceil(gamma N), ordered by (gamma, N, epsilon).
 
-    Each cell is one diagnose call on one sampled system, with the frame's
-    Gram factor shared across its cells.
+    Each cell's reports equal diagnose(build_system(frame, scheme), factor,
+    epsilons) to the bit, with the frame's Gram factor shared across its
+    cells.  The distinct M of one N are evaluated in stacks (module
+    docstring), each from one _stacked_matrix call whose Legendre table
+    gives G and the rows A' reads; each M's system is then formed on its
+    rows, one at a time.
     """
-    factors = {N: build_gram_factor(frame_family(N)) for N in sorted(set(Ns))}
-    rows = []
-    for gamma in gammas:
-        for N in Ns:
-            M = max(N, math.ceil(gamma * N))
-            system = build_system(frame_family(N), scheme_family.realize(M))
-            reports = diagnose(system, factors[N], epsilons)
-            rows.extend((float(gamma), report) for report in reports)
+    reports = {}
+    for N in sorted(set(Ns)):
+        frame = frame_family(N)
+        factor = build_gram_factor(frame)
+        Ms = sorted({max(N, math.ceil(gamma * N)) for gamma in gammas})
+        for stack in _stacks(Ms, N):
+            # A' reads phi_n, n = N - K, of an enriched frame, and no table
+            # of a pure basis
+            G, schemes, table = _stacked_matrix(frame, scheme_family, stack,
+                                                N - frame.K if frame.K else None)
+            start = 0
+            for M, scheme in zip(stack, schemes):
+                block = slice(start, start + M)
+                system = GramSystem.from_matrix(G[block], frame=frame, scheme=scheme)
+                a_prime = _richness_from_table(system, None if table is None else table[:, block])
+                reports[N, M] = _reports(system, factor, epsilons, a_prime)
+                start += M
+    rows = [(float(gamma), report) for gamma in gammas for N in Ns
+            for report in reports[N, max(N, math.ceil(gamma * N))]]
     rows.sort(key=lambda row: (row[0], row[1].N, row[1].epsilon))
     return rows

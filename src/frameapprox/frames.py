@@ -87,16 +87,32 @@ def element_matrix(frame: FrameSpec, x) -> np.ndarray:
     the weighted copies.
     """
     x = _as_nodes(x)
-    K, N = frame.K, frame.N
+    return _elements_from_table(frame, x, _node_table(frame, x))
+
+
+def _node_table(frame: FrameSpec, x: np.ndarray, degree: int = 0) -> np.ndarray:
+    """The Legendre table of the 1-d points x, of the frame's degree or of degree if higher.
+
+    The points are checked against the frame's domain first.
+    """
     if x.size:
         # fmin and fmax skip NaN: a NaN node is no domain error, and hides
         # no point outside [0, 1] beside it
         lowest, highest = np.fmin.reduce(x), np.fmax.reduce(x)
         if lowest < 0.0 or highest > 1.0:
             raise ValueError("evaluation points must lie in [0, 1]")
-        if K > 0 and lowest <= 0.0:
+        if frame.K > 0 and lowest <= 0.0:
             raise ValueError("weighted frame elements are undefined at x = 0")
-    table = legendre_table(max(frame.max_poly_degree, K - 1, 0), x)
+    return legendre_table(max(frame.max_poly_degree, frame.K - 1, degree, 0), x)
+
+
+def _elements_from_table(frame: FrameSpec, x: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """element_matrix at the points x from their _node_table.
+
+    Each element is formed elementwise from its own row, so a table that
+    runs past the frame's degree gives the same values.
+    """
+    K, N = frame.K, frame.N
     out = np.empty((N, x.size))
     if K > 0:
         out[:K] = np.log(x)[None, :] * table[:K]

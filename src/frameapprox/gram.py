@@ -10,7 +10,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .blas import one_blas_thread
-from .frames import _LOG_NORM_SQ, FrameSpec, element_matrix
+from .frames import _LOG_NORM_SQ, FrameSpec, _elements_from_table, element_matrix
 from .orthopoly import hp_log_quadrature
 from .sampling import SamplingScheme
 
@@ -129,10 +129,18 @@ def _log_moments(K: int, M: int, dtype=float) -> np.ndarray:
     return s * np.sqrt(2 * k + 1, dtype=dtype) * np.sqrt(2 * m + 1, dtype=dtype)
 
 
-def _system_matrix(frame: FrameSpec, scheme: SamplingScheme) -> np.ndarray:
-    """The M x N sampled matrix: entry (m, j) is functional m applied to element j."""
+def _system_matrix(
+    frame: FrameSpec, scheme: SamplingScheme, table: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """The M x N sampled matrix: entry (m, j) is functional m applied to element j.
+
+    A point scheme's elements are read from table when it is given, the
+    frames._node_table of its nodes, and from element_matrix otherwise.
+    """
     if scheme.nodes is not None:
-        return scheme.scales[:, None] * element_matrix(frame, scheme.nodes).T
+        elements = (element_matrix(frame, scheme.nodes) if table is None
+                    else _elements_from_table(frame, scheme.nodes, table))
+        return scheme.scales[:, None] * elements.T
     # each element's first M Legendre coefficients: I for phi, rows of L for psi
     G = np.eye(scheme.M, frame.N, frame.K)
     G[:, : frame.K] = _log_moments(frame.K, scheme.M).T

@@ -211,15 +211,31 @@ def richness_estimate(system: GramSystem, factor: GramFactor) -> float:
     G_Phi the polynomial columns of the system's own double matrix.  The
     basis log(x) x^l, unlike log(x) phi_k, keeps the residuals' Gram far
     from singular after scaling, which lets all of it run in double.
-    Requires M >= N.
+    Requires M >= N.  At point schemes the residuals' values read rows of
+    a Legendre table of degree n on the nodes, which this call evaluates;
+    diagnostics.constants_sweep passes the rows of its stacked table to
+    _richness_from_table instead.
     """
     _check_factor(system, factor)
     if system.M < system.N:
         raise ValueError("richness estimate requires M >= N")
     K = system.frame.K
+    # a pure basis reads neither the scheme nor a table
+    nodes = system.scheme.nodes if K else None
+    table = None if nodes is None else legendre_table(system.N - K, nodes)
+    return _richness_from_table(system, table)
+
+
+def _richness_from_table(system: GramSystem, table: Optional[np.ndarray]) -> float:
+    """richness_estimate of a system with M >= N, given the Legendre table of its nodes.
+
+    table has degree at least N - K and one column per node, the rows that
+    _residual_samples reads; it is None for inner products or K = 0.
+    """
+    K = system.frame.K
     if K:
         R_w = _residual_basis(K, system.N - K)[0]
-        Y = _residual_samples(system.frame, system.scheme)
+        Y = _residual_samples(system.frame, system.scheme, table)
     else:
         R_w, Y = np.empty((0, 0)), np.empty((system.M, 0))
     return _richness_from_matrices(system.matrix[:, K:], R_w, Y)
@@ -334,16 +350,23 @@ def _second_kind_pair(n: int, t: np.ndarray):
     return low, high
 
 
-def _residual_samples(frame: FrameSpec, scheme: SamplingScheme) -> np.ndarray:
+def _residual_samples(
+    frame: FrameSpec, scheme: SamplingScheme, table: Optional[np.ndarray]
+) -> np.ndarray:
     """The M x K samples of the residuals r_l = (I - P_n)[log(x) x^l], l < K, n = N - K.
 
     Inner products read exact moments: row j is <log(x) x^l, phi_j> for
-    j >= n and 0 below (`_log_monomial_moment`).  Point values s_m r_l(x_m)
-    take the integral of `_residual_basis` for l < n, on a kernel
-    1 / (x + t) formed in row blocks of at most _KERNEL_BLOCK_VALUES
-    values, with phi_{n-1} and phi_n from legendre_table.  For l >= n,
-    which happens when N < 2K, the integral diverges, and the n-term
-    projection is subtracted from log(x) x^l directly.
+    j >= n and 0 below (`_log_monomial_moment`), and table is None.  Point
+    values s_m r_l(x_m) read the caller's table, legendre_table of the
+    nodes up to degree n or beyond: phi_{n-1} and phi_n for l < n, which
+    enter the integral of `_residual_basis`, on a kernel 1 / (x + t) formed
+    in row blocks of at most _KERNEL_BLOCK_VALUES values from the first
+    node.  For l >= n, which happens when N < 2K, the integral diverges,
+    and the n-term projection on the rows below n is subtracted from
+    log(x) x^l directly.  The table may be a column block of a larger one:
+    every value is formed elementwise from its own node, and the two
+    products are made on the nodes' own rows, so the samples do not
+    depend on it.
     """
     K, n = frame.K, frame.N - frame.K
     if scheme.nodes is None:  # inner products
@@ -352,20 +375,25 @@ def _residual_samples(frame: FrameSpec, scheme: SamplingScheme) -> np.ndarray:
             Y[j] = [_log_monomial_moment(j, l) * math.sqrt(2 * j + 1) for l in range(K)]
         return Y
     x = scheme.nodes
-    table = legendre_table(n, x)
     Y = np.empty((x.size, K))
     L = min(n, K)
     if L:
         _, t, weights = _residual_basis(K, n)
         F = np.empty((x.size, 2 * L))
+        # OpenBLAS's GEMM returns other bits for other block row counts, so
+        # the blocks start at the first node whatever the table's origin
         step = max(1, _KERNEL_BLOCK_VALUES // t.size)
         for start in range(0, x.size, step):
             rows = slice(start, start + step)
             F[rows] = (1.0 / (x[rows, None] + t)) @ weights
         Y[:, :L] = table[n][:, None] * F[:, :L] + table[n - 1][:, None] * F[:, L:]
+    if L < K:
+        # OpenBLAS's GEMV returns other bits for a strided column block
+        # than for the same rows stored contiguously
+        below = np.ascontiguousarray(table[:n])
     for l in range(L, K):
         moments = np.array([_log_monomial_moment(j, l) * math.sqrt(2 * j + 1) for j in range(n)])
-        Y[:, l] = np.log(x) * x**l - moments @ table[:n]
+        Y[:, l] = np.log(x) * x**l - moments @ below
     return scheme.scales[:, None] * Y
 
 

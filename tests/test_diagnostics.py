@@ -1,5 +1,7 @@
 """Stability constants, their bounds, sweeps, and the sampling rate."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -183,7 +185,6 @@ def test_diagnose_report_consistency():
 def test_bound_violations_flag_breaches():
     frame, factor, system = _cell(8, 1, sampling.legendre_point_scheme(16))
     [clean] = diagnostics.diagnose(system, factor, [1e-5])
-    import dataclasses
     broken = dataclasses.replace(clean, kappa=1e20)
     assert broken.bound_violations(frame, system.scheme)
 
@@ -202,10 +203,11 @@ def test_sweep_grid_and_ordering():
 
 
 def test_sweep_factors_each_frame_once(monkeypatch):
-    # one Gram factor per frame; per (gamma, N) cell one sampling of the
+    # one Gram factor per frame and one Legendre table per stack of cells
+    # (here one stack per N); per (gamma, N) cell one sampling of the
     # residuals for A' and one product U* G for the Rayleigh quotients of
     # every cutoff's kappa
-    calls = {"build_gram_factor": 0, "_residual_samples": 0, "einsum": 0}
+    calls = {"build_gram_factor": 0, "_residual_samples": 0, "einsum": 0, "legendre_table": 0}
 
     def counting(module, name):
         real = getattr(module, name)
@@ -219,12 +221,90 @@ def test_sweep_factors_each_frame_once(monkeypatch):
     counting(diagnostics, "build_gram_factor")
     counting(sampling, "_residual_samples")
     counting(np, "einsum")
+    for module in (frames, sampling):
+        counting(module, "legendre_table")
     rows = diagnostics.constants_sweep(
         lambda n: frames.onb_plus_k(n, 2),
         sampling.legendre_points(),
         gammas=(1.0, 1.5, 2.0, 3.0), Ns=(5, 10), epsilons=(1e-5, 1e-8))
     assert len(rows) == 16
-    assert calls == {"build_gram_factor": 2, "_residual_samples": 8, "einsum": 8}
+    assert calls == {"build_gram_factor": 2, "_residual_samples": 8, "einsum": 8,
+                     "legendre_table": 2}
+
+
+def _bits(report):
+    # repr round-trips a float exactly and tells -0.0 from 0.0
+    return [repr(value) for value in dataclasses.astuple(report)]
+
+
+@pytest.mark.parametrize("cap", [2**14, 300])
+@pytest.mark.parametrize("scheme_family", [
+    sampling.chebyshev_points(),
+    sampling.chebyshev_points(weighted=True),
+    sampling.legendre_points(),
+    sampling.equispaced_points(),
+    sampling.inner_products(),
+], ids=["chebyshev", "chebyshev-weighted", "legendre", "equispaced", "inner"])
+def test_sweep_equals_diagnose_of_each_cell_to_the_bit(scheme_family, cap, monkeypatch):
+    # cap 2^14: each N is one stack; cap 300: stacks of one or two cells at
+    # N = 12.  Gammas out of order, with 1.5 and 1.6 giving M = 8 at N = 5;
+    # N = 7 at K = 5 has N < 2K, where A' reads the table's rows below n
+    monkeypatch.setattr(diagnostics, "_CHUNK_VALUES", cap)
+    gammas, Ns, epsilons = (3.0, 1.0, 1.5, 1.6), (12, 5, 7), (1e-3, 1e-10)
+    for K in (0, 1, 5):
+        family = (lambda n: frames.onb_plus_k(n, K)) if K else frames.legendre_onb
+        rows = diagnostics.constants_sweep(family, scheme_family, gammas, Ns, epsilons)
+        expected = []
+        for gamma in gammas:
+            for N in Ns:
+                frame, M = family(N), max(N, int(np.ceil(gamma * N)))
+                system = gram.build_system(frame, scheme_family.realize(M))
+                reports = diagnostics.diagnose(system, gram.build_gram_factor(frame), epsilons)
+                expected += [(gamma, report) for report in reports]
+        expected.sort(key=lambda row: (row[0], row[1].N, row[1].epsilon))
+        assert [(g, _bits(r)) for g, r in rows] == [(g, _bits(r)) for g, r in expected], K
+
+
+def test_sweep_stacks_stay_within_the_chunk_cap(monkeypatch):
+    # 40 cells of 12 to 480 rows at N = 12, 118080 values in all, and one
+    # cell of 28800 values, above the cap on its own; no stack may exceed
+    # the cap unless it is a single cell, so a sweep at the CLI's size cap
+    # holds one 1 GiB system at a time, not one per gamma
+    stacks = []
+    stacked_matrix = diagnostics._stacked_matrix
+
+    def recording(*args):
+        G, schemes, table = stacked_matrix(*args)
+        stacks.append(([scheme.M for scheme in schemes], G.shape, table.shape))
+        return G, schemes, table
+
+    monkeypatch.setattr(diagnostics, "_stacked_matrix", recording)
+    gammas = [200.0] + [float(g) for g in range(40, 0, -1)]
+    rows = diagnostics.constants_sweep(
+        lambda n: frames.onb_plus_k(n, 1), sampling.legendre_points(), gammas, (12,), (1e-5,))
+    assert [gamma for gamma, _ in rows] == sorted(gammas)
+    assert all(r.M == gamma * 12 for gamma, r in rows)
+    assert len(stacks) > 8
+    cap = diagnostics._CHUNK_VALUES
+    for Ms, G_shape, table_shape in stacks:
+        assert G_shape == (sum(Ms), 12) and table_shape == (12, sum(Ms))
+        assert len(Ms) == 1 or sum(Ms) * 12 <= cap
+    # every M once, in ascending order, and the largest cell alone
+    assert sum((Ms for Ms, _, _ in stacks), []) == sorted(12 * int(g) for g in gammas)
+    assert stacks[-1][0] == [2400]
+
+
+def test_ssr_realizes_each_grid_step_once():
+    realized = []
+
+    def counting(M):
+        realized.append(M)
+        return sampling.legendre_point_scheme(M)
+
+    frame = frames.onb_plus_k(40, 5)
+    assert diagnostics.stable_sampling_rate(
+        frame, sampling.SchemeFamily(counting), 2.0, 1e-8) == 170
+    assert realized == list(range(40, realized[-1] + 1, 2))
 
 
 def test_ssr_leaves_the_richness_data_unbuilt():

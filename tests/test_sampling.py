@@ -155,6 +155,9 @@ def test_richness_pure_basis_inner_products_is_one():
     frame = frames.legendre_onb(8)
     value = _richness(frame, sampling.inner_product_scheme(8))
     assert abs(value - 1.0) < 1e-10
+    # a pure basis needs no scheme: the matrix alone fixes A'
+    system = gram.GramSystem.from_matrix(np.eye(8), frame=frame)
+    assert sampling.richness_estimate(system, gram.build_gram_factor(frame)) == value
 
 
 def _oracle_tolerance(K, value):
@@ -237,3 +240,18 @@ def test_richness_argument_validation():
     other = gram.build_gram_factor(frames.onb_plus_k(10, 3))
     with pytest.raises(ValueError):
         sampling.richness_estimate(system, other)
+
+
+@pytest.mark.parametrize("N, K", [(9, 5), (12, 8), (14, 5)])
+@pytest.mark.parametrize("M", [1, 2, 3, 13, 30])
+def test_residual_samples_from_a_column_block_of_a_wider_table(N, K, M):
+    # constants_sweep passes each cell's columns of its stack's table; at N
+    # < 2K the rows below n enter a product, which OpenBLAS computes to other
+    # bits on a strided block at some shapes (4 or more rows, 3 or fewer
+    # columns on OpenBLAS 0.3.31)
+    frame, n = frames.onb_plus_k(N, K), N - K
+    nodes = orthopoly.chebyshev_nodes(M + 7)
+    scheme = sampling.SamplingScheme(M=M, nodes=nodes[3:3 + M], scales=np.ones(M))
+    wide = orthopoly.legendre_table(N, nodes)
+    alone = sampling._residual_samples(frame, scheme, orthopoly.legendre_table(n, scheme.nodes))
+    assert np.array_equal(sampling._residual_samples(frame, scheme, wide[:, 3:3 + M]), alone)
