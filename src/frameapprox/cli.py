@@ -27,6 +27,8 @@ MAX_SYSTEM_VALUES = 2**27
 # largest N that MAX_SYSTEM_VALUES admits, one factor took 0.6 s at K = 20
 # and 5 s at K = 32 on a 2-core x86-64 VM, its time doubling every 4 in K
 MAX_FACTOR_K = 20
+# largest K at which A' matches the extended-precision oracle (README)
+MAX_VERIFIED_A_PRIME_K = 12
 
 _SCHEME_FAMILIES = {
     "chebyshev": sampling.chebyshev_points(),
@@ -343,6 +345,9 @@ def run_constants(cfg: ExperimentConfig) -> Path:
     Ns = cfg.N_values
     N_max = _require_sweep(Ns, "N")
     _require_factor_k(cfg)
+    if cfg.K > MAX_VERIFIED_A_PRIME_K:
+        print(f"warning: A' is verified only for K <= {MAX_VERIFIED_A_PRIME_K} (ROADMAP item 21)",
+              file=sys.stderr)
     for gamma in cfg.gammas:
         if not 1 <= gamma < math.inf:
             raise ConfigError(f"gamma must be finite and at least 1, got {gamma}")

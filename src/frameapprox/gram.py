@@ -82,17 +82,15 @@ class GramFactor:
     (`_log_moments`) and W the Gram of the psi_k minus their projections
     onto the phi_j.  `R` is that factor with its columns in frame order
     (psi first), so R* R is the Gram, ||R x|| is the L2(0, 1) norm of the
-    expansion with coefficients x, and R is not triangular.  C ((N - K) x K)
-    and R22 (K x K, upper triangular) are formed in long double and kept
-    only because R is rounded from them (ROADMAP item 18); A' reads neither.
+    expansion with coefficients x, and R is not triangular.  Every entry of
+    R is its exact value correctly rounded in double: C ((N - K) x K) is
+    R[:N - K, :K] and R22 (K x K, upper triangular) is R[N - K:, :K].
     `matrix` is the quadrature factor H of the same Gram (H* H = Gram to
     about 1e-13), evaluated on every read for checks that want a route
     independent of the closed forms; no library path uses it.
     """
 
     R: np.ndarray
-    C: np.ndarray
-    R22: np.ndarray
     frame: FrameSpec
 
     @property
@@ -106,27 +104,31 @@ class GramFactor:
         return np.sqrt(rule.weights)[:, None] * element_matrix(self.frame, rule.nodes).T
 
 
-def _log_moments(K: int, M: int, dtype=float) -> np.ndarray:
+def _log_moments(K: int, M: int) -> np.ndarray:
     """L[k, m] = <log(x) phi_k, phi_m> for k < K and m < M, in closed form, in O(MK).
 
     L is the matrix of log(x) in the orthonormal shifted Legendre basis:
     L[k, m] = sqrt(2k + 1) sqrt(2m + 1) s_km with the rationals
     s_km = (-1)^(k+m+1) / (|m - k| (m + k + 1)) for m != k and
     s_kk = -(2 (H_{2k+1} - H_k) - 1 / (2k + 1)) / (2k + 1), H_n the
-    harmonic numbers.  Each entry is formed in dtype from its own k and m
-    with a few roundings, so a shorter L is a prefix of a longer one to
-    the bit.
+    harmonic numbers.  Each s_km is correctly rounded in double and each
+    entry formed from its own k and m with two more roundings, so a shorter
+    L is a prefix of a longer one to the bit.  This is the inner-product
+    system's formula; build_gram_factor rounds each entry of L once.
     """
     k = np.arange(K)[:, None]
     m = np.arange(M)
-    sign = np.where((k + m) % 2, 1, -1).astype(dtype)
-    s = sign / (np.maximum(np.abs(m - k), 1) * (m + k + 1))
-    d = min(K, M)
-    if d:
-        E = math.lcm(*range(1, 2 * d)) ** 2
-        # s_kk < 0, and _ratios takes nonnegative numerators
-        s[range(d), range(d)] = -_ratios([-_log_moment_ratio(j, j, E) for j in range(d)], [E] * d)
-    return s * np.sqrt(2 * k + 1, dtype=dtype) * np.sqrt(2 * m + 1, dtype=dtype)
+    s = np.where((k + m) % 2, 1.0, -1.0) / (np.maximum(np.abs(m - k), 1) * (m + k + 1))
+    E, diagonal = _log_moment_diagonal(min(K, M))
+    for j, ratio in enumerate(diagonal):
+        s[j, j] = ratio / E
+    return s * np.sqrt(2 * k + 1) * np.sqrt(2 * m + 1)
+
+
+def _log_moment_diagonal(d: int) -> Tuple[int, List[int]]:
+    """E and the integers E s_kk for k < d, E = lcm(1, ..., 2d - 1)^2 (see _log_moments)."""
+    E = math.lcm(*range(1, 2 * d)) ** 2
+    return E, [_log_moment_ratio(k, k, E) for k in range(d)]
 
 
 def _system_matrix(
@@ -161,8 +163,9 @@ def build_system(frame: FrameSpec, scheme: SamplingScheme) -> GramSystem:
 def build_gram_factor(frame: FrameSpec) -> GramFactor:
     """The closed-form square root of the continuous Gram of the frame (see GramFactor).
 
-    C is the first N - K columns of the K rows of `_log_moments`, in long
-    double.  With n0 = N - K and D = diag(sqrt(2k + 1)), the tail Gram is
+    Every entry of R is correctly rounded in double.  C is the first N - K
+    columns of the K rows of `_log_moments` (`_log_moment_block`).  With
+    n0 = N - K and D = diag(sqrt(2k + 1)), the tail Gram is
     W = sum_{j >= n0} L[:, j] L[:, j]* = D S D, where (2j + 1) L[k, j]
     L[l, j] / ((2k + 1)(2l + 1)) is (-1)^(k+l) (2j + 1) / ((j - k)(j + k + 1)
     (j - l)(j + l + 1)) for j >= K, a sum of four simple fractions in j.
@@ -184,16 +187,41 @@ def build_gram_factor(frame: FrameSpec) -> GramFactor:
     """
     K, N = frame.K, frame.N
     n0 = N - K
-    C = _log_moments(K, n0, np.longdouble).T
     A, Q = _tail_gram(K, n0)
     if frame.normalize_psi:
-        C[:, 0] /= np.sqrt(np.longdouble(_LOG_NORM_SQ))
         Q *= 2
-    R22 = _exact_cholesky(A, Q, range(1, 2 * K, 2))
     R = np.eye(N, N, K)
-    R[:n0, :K] = C
-    R[n0:, :K] = R22
-    return GramFactor(R=R, C=C, R22=R22, frame=frame)
+    R[:n0, :K] = _log_moment_block(K, n0, frame.normalize_psi)
+    R[n0:, :K] = _exact_cholesky(A, Q, range(1, 2 * K, 2))
+    return GramFactor(R=R, frame=frame)
+
+
+def _log_moment_block(K: int, n0: int, normalize_psi: bool) -> np.ndarray:
+    """C = L[:K, :n0]*, psi_0's column over sqrt(2) if normalize_psi, correctly rounded in double.
+
+    Off the diagonal |C[m, k]| = sqrt(a) / d with the integers
+    a = (2k + 1)(2m + 1) and d = |m - k| (m + k + 1), or 2a and 2d in a
+    normalized column, which `_sqrt_quotients` rounds in vectorized steps.
+    A diagonal entry (2k + 1) s_kk is a quotient of integers, and psi_0's
+    normalized one is -sqrt(1 / 2).
+    """
+    width = K | 1  # odd, so that an entry's flat index has the parity of m + k
+    m = np.arange(1, 2 * n0, 2.0)  # 2m + 1
+    k = np.arange(1, 2 * width, 2.0)  # 2k + 1
+    a = m[:, None] * k
+    # |m - k| (m + k + 1) = |(2m + 1)^2 - (2k + 1)^2| / 4, made 1 where m = k
+    d = np.maximum(np.abs((m * m)[:, None] - k * k), 4) * 0.25
+    if normalize_psi:
+        a[:, 0] *= 2
+        d[:, 0] *= 2
+    C = _sqrt_quotients(a, d)
+    C.reshape(-1)[::2] *= -1  # the sign (-1)^(m+k+1)
+    E, diagonal = _log_moment_diagonal(min(K, n0))
+    for j, ratio in enumerate(diagonal):
+        C[j, j] = (2 * j + 1) * ratio / E
+    if normalize_psi and n0:
+        C[0, 0] = -_sqrt_ratio(1, 2)  # L[0, 0] = -1
+    return C[:, :K]
 
 
 def _tail_gram(K: int, n0: int) -> Tuple[List[List[int]], int]:
@@ -238,43 +266,75 @@ def _log_moment_ratio(k: int, j: int, E: int) -> int:
 
 
 def _exact_cholesky(A: List[List[int]], Q: int, weights: Sequence[int]) -> np.ndarray:
-    """Upper-triangular R with R* R = D A D / Q, D = diag(sqrt(weights)), each entry rounded once.
+    """Upper-triangular R with R* R = D A D / Q, D = diag(sqrt(weights)), in double.
 
     Bareiss elimination keeps every intermediate an integer: after step k,
     B[l][k] is the minor of A on rows 0..k-1, l and columns 0..k, and
     B[k][k] is the leading minor Delta_{k+1}.  The LDL* of A has
     d_k = Delta_{k+1} / Delta_k and L[l, k] = B[l][k] / Delta_{k+1}, so
-    R[k, l] = B[l][k] sqrt(weights[l] / (Q Delta_k Delta_{k+1})).
+    R[k, l] = B[l][k] sqrt(weights[l] / (Q Delta_k Delta_{k+1})), each
+    entry correctly rounded in double by `_sqrt_ratio`.
     """
     K = len(A)
     B = [row[:] for row in A]
-    # R22 = signs * sqrt(p / q) entrywise, zero below the diagonal
-    p, q, signs = [0] * (K * K), [1] * (K * K), [1] * (K * K)
+    R = np.zeros((K, K))
     previous = 1
     for k in range(K):
         pivot = B[k][k]
         for l in range(k, K):
             b = B[l][k]
-            p[k * K + l] = b * b * weights[l]
-            q[k * K + l] = Q * previous * pivot
-            signs[k * K + l] = -1 if b < 0 else 1
+            root = _sqrt_ratio(b * b * weights[l], Q * previous * pivot)
+            R[k, l] = -root if b < 0 else root
         for i in range(k + 1, K):
             for j in range(k + 1, K):
                 B[i][j] = (pivot * B[i][j] - B[i][k] * B[k][j]) // previous
         previous = pivot
-    return (np.sqrt(_ratios(p, q)) * signs).reshape(K, K)
+    return R
 
 
-def _ratios(p: List[int], q: List[int]) -> np.ndarray:
-    """p / q for integers p >= 0 and q > 0, in long double within 2^-61 relative.
+def _sqrt_ratio(p: int, q: int) -> float:
+    """sqrt(p / q) for integers p >= 0 and q > 0, correctly rounded in double.
 
-    Each quotient goes through a 62-bit integer mantissa and np.ldexp:
-    float() would round it to double first, and big p and q overflow it.
+    m = isqrt(floor(p 4^e / q)) is the integer part of the scaled root and
+    has 56 or 57 bits.  Setting its last bit when the root is not m itself
+    (a sticky bit) leaves float()'s one round to nearest, ties to even, as
+    the rounding of the root; ldexp is exact unless the result underflows.
     """
-    mantissas, exponents = [], []
-    for a, b in zip(p, q):
-        # a 2^shift / b lies in [2^61, 2^63)
-        shift = 62 - a.bit_length() + b.bit_length()
-        mantissas.append((a << shift) // b if shift >= 0 else a // (b << -shift))
-        exponents.append(-shift)
-    return np.ldexp(np.array(mantissas, np.longdouble), np.array(exponents, np.intc))
+    e = (112 - p.bit_length() + q.bit_length()) // 2
+    n, rest = divmod(p << 2 * e, q) if e >= 0 else divmod(p, q << -2 * e)
+    m = math.isqrt(n)
+    return math.ldexp(float(m | (rest > 0 or m * m < n)), -e)
+
+
+def _sqrt_quotients(a: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """sqrt(a) / d for arrays of integers a, d >= 1 held in doubles, correctly rounded in double.
+
+    s = fl(sqrt(a)) and y0 = fl(s / d) leave remainders a - s^2 and
+    s - y0 d that Dekker's two-product gives exactly, so y0 + t with
+    t = ((s - y0 d) + (a - s^2) / 2s) / d is the quotient to within about
+    2^-100 relative.  Where y0 + t - delta and y0 + t + delta, delta =
+    2^-90 y0, round to the same double, no midpoint between doubles lies
+    near, and that double is the correctly rounded quotient; `_sqrt_ratio`
+    rounds the other entries.
+    """
+    s = np.sqrt(a)
+    s_hi, s_lo = _split(s)
+    sq = s * s
+    sq_lo = ((s_hi * s_hi - sq) + 2 * s_hi * s_lo) + s_lo * s_lo  # s^2 = sq + sq_lo
+    y0 = s / d
+    (y_hi, y_lo), (d_hi, d_lo) = _split(y0), _split(d)
+    p = y0 * d
+    p_lo = ((y_hi * d_hi - p) + y_hi * d_lo + y_lo * d_hi) + y_lo * d_lo  # y0 d = p + p_lo
+    t = ((s - p) - p_lo + ((a - sq) - sq_lo) / (s + s)) / d
+    delta = 2.0**-90 * y0
+    y = y0 + (t + delta)
+    for i in np.flatnonzero(y != y0 + (t - delta)):
+        y.flat[i] = _sqrt_ratio(int(a.flat[i]), int(d.flat[i]) ** 2)
+    return y
+
+
+def _split(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split x = hi + lo into halves of at most 26 bits, for Dekker's two-product."""
+    c = 134217729.0 * x  # 2^27 + 1
+    hi = c - (c - x)
+    return hi, x - hi

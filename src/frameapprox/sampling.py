@@ -266,8 +266,8 @@ def _residual_basis(K: int, n: int):
     R_w is the upper-triangular factor of the Gram W' of the r_l.  With
     x^l = sum_k B[k, l] P_k(2x - 1), B[k, l] = (2k + 1) l!^2 / ((l - k)!
     (l + k + 1)!), W' = B* S B for build_gram_factor's tail Gram S = A / Q,
-    integral once B is scaled by (2K - 1)!, and its factor is exact up to
-    the rounding of each entry (gram._exact_cholesky).  A double Cholesky
+    integral once B is scaled by (2K - 1)!, and each entry of its factor is
+    correctly rounded in double (gram._exact_cholesky).  A double Cholesky
     of W', even with unit diagonal, breaks down at K = 14 for some n and
     from K = 16 on at every n tried (15, 35, 55 and 195).
 
@@ -296,7 +296,7 @@ def _residual_basis(K: int, n: int):
           else 0 for l in range(K)] for k in range(K)]
     BA = [[sum(B[i][k] * A[i][j] for i in range(K)) for j in range(K)] for k in range(K)]
     W = [[sum(BA[k][j] * B[j][l] for j in range(K)) for l in range(K)] for k in range(K)]
-    R_w = _exact_cholesky(W, Q * f(2 * K - 1) ** 2, [1] * K).astype(float)
+    R_w = _exact_cholesky(W, Q * f(2 * K - 1) ** 2, [1] * K)
     R_w.setflags(write=False)
     if n == 0:
         return R_w, None, None

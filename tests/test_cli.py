@@ -71,6 +71,17 @@ def test_constants_schema_and_order(tmp_path):
     assert keys == sorted(keys)
 
 
+@pytest.mark.parametrize("K, warned", [(5, False), (14, True)])
+def test_constants_warns_past_the_verified_a_prime_range(K, warned, tmp_path, capsys):
+    out = tmp_path / "c.csv"
+    assert cli.main(["constants", "--K", str(K), "--nodes", "legendre", "--N", str(K + 2),
+                     "--gammas", "2", "--eps", "1e-5", "--out", str(out)]) == 0
+    warning = "warning: A' is verified only for K <= 12 (ROADMAP item 21)\n"
+    assert capsys.readouterr().err == (warning if warned else "")
+    _, rows = _read_csv(out)
+    assert len(rows) == 1
+
+
 def test_ssr_schema(tmp_path):
     out = tmp_path / "s.csv"
     code = cli.main(["ssr", "--K", "1", "--nodes", "inner", "--theta", "2",

@@ -5,7 +5,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -102,18 +101,25 @@ def test_point_systems_stack_to_the_bit(name, K):
     assert np.array_equal(gram._system_matrix(frame, stacked), expected)
 
 
-# the long double log moments are the Gram factor's C
-@pytest.mark.parametrize("dtype", [float, np.longdouble])
 @pytest.mark.parametrize("K", [0, 1, 5])
-def test_inner_product_systems_are_row_prefixes_to_the_bit(K, dtype):
+def test_inner_product_systems_are_row_prefixes_to_the_bit(K):
     N = 12
     frame = frames.onb_plus_k(N, K)
     longest = gram._system_matrix(frame, sampling.inner_product_scheme(3 * N))
     for M in (N, N + 1, 2 * N):
         G = gram._system_matrix(frame, sampling.inner_product_scheme(M))
         assert np.array_equal(G, longest[:M])
-        assert np.array_equal(gram._log_moments(K, M, dtype),
-                              gram._log_moments(K, 3 * N, dtype)[:, :M])
+        assert np.array_equal(gram._log_moments(K, M), gram._log_moments(K, 3 * N)[:, :M])
+
+
+def test_log_moment_diagonal_rounds_s_kk_once():
+    # L[k, k] = fl(s_kk) sqrt(2k + 1) sqrt(2k + 1) in double, with s_kk
+    # correctly rounded: this pins the bytes of the inner-product systems
+    K = 40
+    L = gram._log_moments(K, K)
+    for k in range(K):
+        expected = np.float64(float(_log_ratio(k, k))) * np.sqrt(2 * k + 1) * np.sqrt(2 * k + 1)
+        assert L[k, k] == expected
 
 
 def test_svd_factors_reconstruct_and_are_orthogonal():
@@ -250,47 +256,150 @@ def test_factor_is_the_identity_on_the_polynomials(frame):
     factor = gram.build_gram_factor(frame)
     K, n0 = frame.K, frame.N - frame.K
     assert np.array_equal(factor.R[:, K:], np.eye(frame.N, n0))
-    assert np.array_equal(factor.R[:n0, :K], factor.C.astype(float))
-    assert np.array_equal(factor.R[n0:, :K], factor.R22.astype(float))
-    assert factor.C.dtype == factor.R22.dtype == np.longdouble
-    assert np.array_equal(factor.R22, np.triu(factor.R22))
+    R22 = factor.R[n0:, :K]
+    assert np.array_equal(R22, np.triu(R22))
 
 
-def _mp(value):
-    # a long double or a Fraction as an exact mpmath number
-    p, q = (value.numerator, value.denominator) if isinstance(value, Fraction) \
-        else value.as_integer_ratio()
-    return mpmath.mpf(p) / q
+def _log_ratio(k, m):
+    # s_km = L[k, m] / sqrt((2k + 1)(2m + 1)) from its closed form
+    if k != m:
+        return Fraction((-1) ** (k + m + 1), abs(m - k) * (m + k + 1))
+    harmonic = sum(Fraction(1, i) for i in range(k + 1, 2 * k + 2))
+    return -(2 * harmonic - Fraction(1, 2 * k + 1)) / (2 * k + 1)
 
 
-@pytest.mark.parametrize("K", [1, 5])
-@pytest.mark.parametrize("N", [5, 7, 10, 60, 200])
+def test_log_ratio_closed_form_matches_monomials():
+    s = _exact_log_ratios(20, 40)
+    assert all(_log_ratio(k, m) == s[k][m] for k in range(20) for m in range(40))
+
+
+def _rounds_root(y, sign, square):
+    """Whether the double y is sign * sqrt(square) rounded to nearest, ties to even.
+
+    square is a nonnegative Fraction; the test is exact: square must lie
+    between the squares of the midpoints next to |y|.
+    """
+    if square == 0:
+        return y == 0
+    if np.sign(y) != sign:
+        return False
+    y = abs(float(y))
+    below = (Fraction(y) + Fraction(float(np.nextafter(y, 0)))) / 2
+    above = (Fraction(y) + Fraction(float(np.nextafter(y, np.inf)))) / 2
+    even = (Fraction(y) / Fraction(float(np.spacing(y)))).numerator % 2 == 0
+    return below**2 < square < above**2 or (even and square in (below**2, above**2))
+
+
+def _root_squares(S, weights):
+    # the exact R with R* R = D S D, D = diag(sqrt(weights)), from S's
+    # LDL* in rationals: R[k, l] = sqrt(d_k) L[l, k] sqrt(weights[l])
+    K = len(S)
+    L = [[Fraction(int(r == c)) for c in range(K)] for r in range(K)]
+    d = [Fraction(0)] * K
+    for c in range(K):
+        d[c] = S[c][c] - sum(L[c][q] ** 2 * d[q] for q in range(c))
+        for r in range(c + 1, K):
+            L[r][c] = (S[r][c] - sum(L[r][q] * L[c][q] * d[q] for q in range(c))) / d[c]
+    return [[(np.sign(L[l][k]), d[k] * L[l][k] ** 2 * weights[l]) if l >= k else (0, 0)
+             for l in range(K)] for k in range(K)]
+
+
+@lru_cache(maxsize=None)
+def _log_square_moments(K):
+    # <log(x) phi_k, log(x) phi_l> / sqrt((2k + 1)(2l + 1)) from the
+    # monomial coefficients and int_0^1 log(x)^2 x^i dx = 2 / (i + 1)^3
+    coeffs = _monomial_coefficients(K)
+    return [[sum(a * b * Fraction(2, (i + i2 + 1) ** 3)
+                 for i, a in enumerate(coeffs[k]) for i2, b in enumerate(coeffs[l]))
+             for l in range(K)] for k in range(K)]
+
+
+def _assert_correctly_rounded(block, roots):
+    wrong = [(i, j) for i, row in enumerate(roots) for j, root in enumerate(row)
+             if not _rounds_root(block[i, j], *root)]
+    assert not wrong, f"entries not correctly rounded: {wrong[:5]}"
+
+
+@pytest.mark.parametrize("N, K", [
+    (2, 1), (5, 1), (7, 1), (10, 1), (60, 1), (200, 1),  # normalized psi_0
+    (5, 5), (7, 5), (10, 5), (60, 5), (200, 5), (800, 5),  # n0 < K below N = 10
+    (20, 12), (40, 12), (25, 20), (50, 20)])
 def test_factor_blocks_match_exact_rationals(N, K):
     # C = L[:K, :N - K]* and R22* R22 = W = Psi* Psi - C* C, with Psi* Psi from
-    # int_0^1 log(x)^2 x^i dx = 2 / (i + 1)^3, all in rationals
+    # the monomials, all in rationals: every entry of R is its exact value
+    # rounded once to the nearest double
     frame = frames.onb_plus_k(N, K)
-    factor = gram.build_gram_factor(frame)
-    n0, s = N - K, _exact_log_ratios(5, 199)
-    norm = Fraction(1, 2) if frame.normalize_psi else 1
-    coeffs = _monomial_coefficients(K)
-    tol = 100 * np.finfo(np.longdouble).eps
-    W = factor.R22.T @ factor.R22
-    with mpmath.workdps(40):
-        for j in range(n0):
-            for k in range(K):
-                exact = mpmath.sqrt(norm * (2 * k + 1) * (2 * j + 1)) * _mp(s[k][j])
-                assert abs(_mp(factor.C[j, k]) - exact) <= tol * abs(exact)
-        exact = [[None] * K for _ in range(K)]
-        for k in range(K):
-            for l in range(K):
-                psi = sum(a * b * Fraction(2, (i + i2 + 1) ** 3)
-                          for i, a in enumerate(coeffs[k]) for i2, b in enumerate(coeffs[l]))
-                tail = psi - sum((2 * j + 1) * s[k][j] * s[l][j] for j in range(n0))
-                exact[k][l] = mpmath.sqrt((2 * k + 1) * (2 * l + 1)) * _mp(norm * tail)
-        for k in range(K):
-            for l in range(K):
-                scale = mpmath.sqrt(exact[k][k] * exact[l][l])
-                assert abs(_mp(W[k, l]) - exact[k][l]) <= tol * scale
+    R = gram.build_gram_factor(frame).R
+    n0 = N - K
+    norm = [Fraction(1, 2) if frame.normalize_psi else 1] + [1] * (K - 1)
+    s = [[_log_ratio(k, j) for k in range(K)] for j in range(n0)]
+    C_roots = [[(np.sign(r), norm[k] * (2 * k + 1) * (2 * j + 1) * r * r)
+                for k, r in enumerate(row)] for j, row in enumerate(s)]
+    _assert_correctly_rounded(R[:n0, :K], C_roots)
+    psi = _log_square_moments(K)
+    S = [[psi[k][l] - sum((2 * j + 1) * _log_ratio(k, j) * _log_ratio(l, j) for j in range(n0))
+          for l in range(K)] for k in range(K)]
+    weights = [norm[l] * (2 * l + 1) for l in range(K)]
+    _assert_correctly_rounded(R[n0:, :K], _root_squares(S, weights))
+
+
+@pytest.mark.parametrize("K, n", [(1, 0), (1, 3), (5, 0), (5, 2), (5, 20), (12, 10), (20, 2)])
+def test_residual_basis_factor_is_correctly_rounded(K, n):
+    # R_w* R_w is the Gram of r_l = (I - P_n)[log(x) x^l], l < K, from
+    # <log(x) x^l, log(x) x^m> = 2 / (l + m + 1)^3 and the projections
+    # <log(x) x^l, phi_j> = sqrt(2j + 1) sum_i c_ji (-1 / (l + i + 1)^2)
+    R_w = sampling._residual_basis(K, n)[0]
+    coeffs = _monomial_coefficients(n)
+    t = [[sum(Fraction(-c, (l + i + 1) ** 2) for i, c in enumerate(coeffs[j])) for j in range(n)]
+         for l in range(K)]
+    gram_w = [[Fraction(2, (l + m + 1) ** 3)
+               - sum((2 * j + 1) * t[l][j] * t[m][j] for j in range(n))
+               for m in range(K)] for l in range(K)]
+    _assert_correctly_rounded(R_w, _root_squares(gram_w, [1] * K))
+
+
+def test_sqrt_quotients_round_near_midpoints_on_the_integer_route(monkeypatch):
+    # sqrt(2^52 + j), j odd, lies about 2^-100 below the midpoint 2^26 + j 2^-27
+    # between doubles: those entries must take _sqrt_ratio, and all are exact
+    integer_route = []
+    sqrt_ratio = gram._sqrt_ratio
+    monkeypatch.setattr(gram, "_sqrt_ratio",
+                        lambda p, q: integer_route.append(p) or sqrt_ratio(p, q))
+    a, d = np.meshgrid(2.0**52 + np.arange(1, 40, 2), [1.0, 3.0, 7.0])
+    y = gram._sqrt_quotients(a, d)
+    assert set(2**52 + j for j in range(1, 40, 2)) <= set(integer_route)
+    roots = [[(1, Fraction(int(p), int(q) ** 2)) for p, q in zip(*rows)] for rows in zip(a, d)]
+    _assert_correctly_rounded(y, roots)
+
+
+def test_sqrt_ratio_of_zero_and_perfect_squares():
+    assert gram._sqrt_ratio(0, 7) == 0.0
+    for n in (1, 3, 2**26 + 1, 2**53 - 1, 2**53 + 1, 3**200):
+        assert gram._sqrt_ratio(n * n, 1) == float(n)  # float rounds n once
+        assert gram._sqrt_ratio(n * n * 49, 9 * 49) == n / 3
+
+
+@settings(deadline=None, max_examples=300)
+@given(mantissa=st.integers(1, 2**120), divisor=st.integers(1, 2**120),
+       shift=st.integers(-300, 300))
+def test_sqrt_ratio_is_correctly_rounded_across_scales(mantissa, divisor, shift):
+    p, q = (mantissa << shift, divisor) if shift >= 0 else (mantissa, divisor << -shift)
+    assert _rounds_root(gram._sqrt_ratio(p, q), 1, Fraction(p, q))
+
+
+@pytest.mark.parametrize("y", [1.0, 1.5, np.pi, 2.0**-300 * 1.25, 2.0**300 / 3, 1e-20])
+def test_sqrt_ratio_on_both_sides_of_a_midpoint(y):
+    # mu, halfway between y and the next double up: mu^2 rounds to the even
+    # one of the two, and squares just below or above mu^2 to y or to the
+    # next double
+    up = float(np.nextafter(y, np.inf))
+    even = y if (Fraction(y) / Fraction(float(np.spacing(y)))).numerator % 2 == 0 else up
+    square = ((Fraction(y) + Fraction(up)) / 2) ** 2
+    p, q = square.numerator, square.denominator
+    assert gram._sqrt_ratio(p, q) == even
+    scale = 2**400
+    assert gram._sqrt_ratio(p * scale - 1, q * scale) == y
+    assert gram._sqrt_ratio(p * scale + 1, q * scale) == up
 
 
 def test_factor_keeps_no_array_larger_than_r():
