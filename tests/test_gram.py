@@ -101,15 +101,19 @@ def test_point_systems_stack_to_the_bit(name, K):
     assert np.array_equal(gram._system_matrix(frame, stacked), expected)
 
 
+# the inner-product systems and the log moments are double
+@pytest.mark.parametrize("dtype", [float])
 @pytest.mark.parametrize("K", [0, 1, 5])
-def test_inner_product_systems_are_row_prefixes_to_the_bit(K):
+def test_inner_product_systems_are_row_prefixes_to_the_bit(K, dtype):
     N = 12
     frame = frames.onb_plus_k(N, K)
     longest = gram._system_matrix(frame, sampling.inner_product_scheme(3 * N))
     for M in (N, N + 1, 2 * N):
         G = gram._system_matrix(frame, sampling.inner_product_scheme(M))
+        L = gram._log_moments(K, M)
+        assert G.dtype == L.dtype == dtype
         assert np.array_equal(G, longest[:M])
-        assert np.array_equal(gram._log_moments(K, M), gram._log_moments(K, 3 * N)[:, :M])
+        assert np.array_equal(L, gram._log_moments(K, 3 * N)[:, :M])
 
 
 def test_log_moment_diagonal_rounds_s_kk_once():
