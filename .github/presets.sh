@@ -32,11 +32,11 @@ python -m frameapprox.cli ssr --K 5 --nodes chebyshev-weighted --theta 2 --N 20:
 cat "$tmp/equispaced.csv" "$tmp/chebyshev.csv" > "$out/ssr_certified.csv"
 # stacked constants sweeps that no preset reaches: Chebyshev points plain
 # and weighted, K = 1, cells with N < 2K, a pure basis, and gammas out of
-# order, two of which give equal M at small N
+# order, of which 1.5 and 1.6 give equal M at N = 1, 3 and 5
 python -m frameapprox.cli constants --K 1 --nodes chebyshev-weighted --N 1:1:12 \
-  --gammas 3,1,1.05 --eps 1e-5,1e-12 --out "$tmp/k1.csv"
+  --gammas 3,1,1.5,1.6 --eps 1e-5,1e-12 --out "$tmp/k1.csv"
 python -m frameapprox.cli constants --K 5 --nodes chebyshev --N 5:1:12 \
-  --gammas 3,1,1.05 --eps 1e-5,1e-12 --out "$tmp/k5.csv"
+  --gammas 3,1,1.5,1.6 --eps 1e-5,1e-12 --out "$tmp/k5.csv"
 python -m frameapprox.cli constants --frame onb --nodes equispaced --N 1:1:12 \
-  --gammas 3,1,1.05 --eps 1e-5,1e-12 --out "$tmp/onb.csv"
+  --gammas 3,1,1.5,1.6 --eps 1e-5,1e-12 --out "$tmp/onb.csv"
 cat "$tmp/k1.csv" "$tmp/k5.csv" "$tmp/onb.csv" > "$out/constants_stacked.csv"

@@ -463,11 +463,9 @@ def _check_tsvd_cutoff():
 def _check_projection_orthogonality():
     frame = frames.onb_plus_k(8, 1)
     system = gram.build_system(frame, sampling.legendre_point_scheme(16))
-    sol = solver.truncated_svd_solve(
-        system, sampling.sample(system.scheme, frames.target_function), epsilon=1e-8
-    )
-    kept = system.matrix @ system.Vt[: sol.kept_rank].T
     y = sampling.sample(system.scheme, frames.target_function).values
+    sol = solver.truncated_svd_solve(system, y, epsilon=1e-8)
+    kept = system.matrix @ system.Vt[: sol.kept_rank].T
     residual = y - system.matrix @ sol.coefficients
     dev = np.abs(kept.T @ residual).max()
     return dev < 1e-9, f"max dev {dev:.3e}"
@@ -483,7 +481,7 @@ def _check_bound_invariants():
         kappa = diagnostics.compute_kappa(system, factor, eps)
         lam = diagnostics.compute_lambda(system, factor, eps)
         cap_b = np.sqrt(frame.B_upper) / eps
-        cap_a = 1.0 / np.sqrt(sampling.richness_estimate(system, factor))
+        cap_a = 1.0 / np.sqrt(sampling.richness_estimate(system))
         worst = max(worst, kappa / cap_b, lam / cap_b,
                     kappa / (cap_a * (1 + 1e-9)), lam / (cap_a * (1 + 1e-9)))
     return worst <= 1.0, f"worst cap ratio {worst:.6f}"
@@ -556,7 +554,7 @@ _PARSER.add_argument("--probes", help="comma list of probe points in (0, 1]")
 _PARSER.add_argument("--out", help="output CSV path")
 _PARSER.add_argument("--seed", help="seed for randomized checks")
 # accepted only as 1 and ignored, for callers that still pass it; it goes
-# when the benchmark's commands drop it (ROADMAP item 10)
+# when the benchmark's commands drop it (ROADMAP item 23)
 _PARSER.add_argument("--workers", type=int, choices=(1,), help=argparse.SUPPRESS)
 _PARSER.add_argument("--config", help="key = value config file")
 

@@ -16,13 +16,13 @@ computed from R alone:
 
 with V_r the kept and V_d the discarded right singular vectors.
 
-Every constant is a function of one (system, factor) pair: the sampled
+kappa and lambda are functions of one (system, factor) pair: the sampled
 system from build_system and the Gram factor of its frame from
 build_gram_factor, computed once per frame.  The richness constant
-A'_{M,N} = sigma_min(G R^-1)^2 (sampling.richness_estimate) is read off
-the same pair in double, from the polynomial columns of G and the
-sampled residuals of the frame's span, and it bounds both constants by
-1/sqrt(A'_{M,N}).
+A'_{M,N} = sigma_min(G R^-1)^2 (sampling.richness_estimate) needs the
+system alone: it is computed in double from the polynomial columns of G
+and the sampled residuals of the frame's span, and it bounds both
+constants by 1/sqrt(A'_{M,N}).
 diagnose returns one report per cutoff for such a pair and computes A'
 once.  constants_sweep gives each (gamma, N) cell the reports diagnose
 would, to the bit, but evaluates each frame once per stack of cells: the
@@ -151,9 +151,7 @@ import numpy as np
 from .blas import one_blas_thread
 from .frames import FrameSpec, _node_table
 from .gram import GramFactor, GramSystem, _system_matrix, build_gram_factor
-from .sampling import (
-    SamplingScheme, SchemeFamily, _check_factor, _richness_from_table, richness_estimate,
-)
+from .sampling import SamplingScheme, SchemeFamily, _richness_from_table, richness_estimate
 
 __all__ = [
     "DiagnosticsReport",
@@ -175,6 +173,12 @@ _CHUNK_VALUES = 2**14
 def _check_epsilon(epsilon: float) -> None:
     if not 0 < epsilon < math.inf:  # also rejects nan
         raise ValueError("epsilon must be finite and > 0")
+
+
+def _check_factor(system: GramSystem, factor: GramFactor) -> None:
+    # a factor of another frame with the same N gives wrong constants silently
+    if factor.frame != system.frame:
+        raise ValueError("factor is not the Gram factor of the system's frame")
 
 
 @one_blas_thread
@@ -246,7 +250,7 @@ def diagnose(
 
     A'_{M,N} does not depend on the cutoff and is computed once.
     """
-    return _reports(system, factor, epsilons, richness_estimate(system, factor))
+    return _reports(system, factor, epsilons, richness_estimate(system))
 
 
 def _reports(

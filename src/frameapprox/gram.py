@@ -5,14 +5,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .blas import one_blas_thread
 from .frames import _LOG_NORM_SQ, FrameSpec, _elements_from_table, element_matrix
 from .orthopoly import hp_log_quadrature
-from .sampling import SamplingScheme
+
+if TYPE_CHECKING:  # sampling imports this module
+    from .sampling import SamplingScheme
 
 __all__ = [
     "GramSystem",

@@ -12,11 +12,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .blas import one_blas_thread
+from .frames import FrameSpec
+from .gram import GramSystem, _exact_cholesky, _tail_gram
 from .orthopoly import (
     _gauss_legendre_cached,
     _node_blocks,
@@ -25,10 +27,6 @@ from .orthopoly import (
     hp_log_quadrature,
     legendre_table,
 )
-
-if TYPE_CHECKING:  # gram imports this module
-    from .frames import FrameSpec
-    from .gram import GramFactor, GramSystem
 
 __all__ = [
     "SamplingScheme",
@@ -195,7 +193,7 @@ def sample(scheme: SamplingScheme, f) -> DataVector:
 
 
 @one_blas_thread
-def richness_estimate(system: GramSystem, factor: GramFactor) -> float:
+def richness_estimate(system: GramSystem) -> float:
     """Lower discrete-norm constant A'_{M,N} of a sampled system over its frame.
 
     Returns the smallest value of ||g||_M^2 over functions g in the span
@@ -216,7 +214,6 @@ def richness_estimate(system: GramSystem, factor: GramFactor) -> float:
     diagnostics.constants_sweep passes the rows of its stacked table to
     _richness_from_table instead.
     """
-    _check_factor(system, factor)
     if system.M < system.N:
         raise ValueError("richness estimate requires M >= N")
     K = system.frame.K
@@ -239,12 +236,6 @@ def _richness_from_table(system: GramSystem, table: Optional[np.ndarray]) -> flo
     else:
         R_w, Y = np.empty((0, 0)), np.empty((system.M, 0))
     return _richness_from_matrices(system.matrix[:, K:], R_w, Y)
-
-
-def _check_factor(system: GramSystem, factor: GramFactor) -> None:
-    # a factor of another frame with the same N gives wrong constants silently
-    if factor.frame != system.frame:
-        raise ValueError("factor is not the Gram factor of the system's frame")
 
 
 def _richness_from_matrices(G_phi: np.ndarray, R_w: np.ndarray, Y: np.ndarray) -> float:
@@ -288,8 +279,6 @@ def _residual_basis(K: int, n: int):
     L = min(n, K), column l < L is the phi_n(x) term of r_l, and column
     L + l its phi_{n-1}(x) term.
     """
-    from .gram import _exact_cholesky, _tail_gram  # gram imports this module
-
     A, Q = _tail_gram(K, n)
     f = math.factorial
     B = [[(2 * k + 1) * (f(l) // f(l - k)) * (f(l) * f(2 * K - 1) // f(l + k + 1)) if k <= l

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .blas import one_blas_thread
 from .frames import FrameSpec, element_matrix, synthesize
 from .gram import GramSystem, build_system
 from .orthopoly import QuadratureRule, hp_log_quadrature
-from .sampling import DataVector, SchemeFamily, sample
+from .sampling import SchemeFamily, sample
 
 __all__ = [
     "RegularizedSolution",
@@ -79,13 +79,13 @@ class BoundCheck(NamedTuple):
 @one_blas_thread
 def truncated_svd_solve(
     system: GramSystem,
-    y: Union[DataVector, np.ndarray],
+    y: np.ndarray,
     epsilon: float,
 ) -> RegularizedSolution:
     """Solve min ||G x - y|| keeping only singular values above epsilon."""
     if not 0 <= epsilon < math.inf:  # also rejects nan
         raise ValueError("epsilon must be finite and >= 0")
-    values = y.values if isinstance(y, DataVector) else np.asarray(y, dtype=float)
+    values = np.asarray(y, dtype=float)
     if values.shape != (system.M,):
         raise ValueError("data length must equal system row count")
     s = system.singular_values
@@ -115,7 +115,7 @@ def approximate(
     """Sample f on family.realize(M), build the frame system, and solve at cutoff epsilon."""
     scheme = family.realize(M)
     system = build_system(frame, scheme)
-    solution = truncated_svd_solve(system, sample(scheme, f), epsilon)
+    solution = truncated_svd_solve(system, sample(scheme, f).values, epsilon)
     return Approximant(solution=solution, frame=frame)
 
 

@@ -127,3 +127,86 @@ def _mp_fraction(value):
     import mpmath
 
     return mpmath.mpf(value.numerator) / value.denominator
+
+
+def oracle_inner_product_constants(frame, M, epsilon):
+    """(kept rank, kappa, lambda) of the exact inner-product system of an enriched frame.
+
+    The inner-product G and the Gram factor R are exact rationals times
+    square roots, so at 60 digits this gives the constants of the exact
+    problem, with no rounding of the double data.  The log moments
+    L[k, m] = sqrt((2k + 1)(2m + 1)) s_km take the rationals s_km of
+    gram._log_moments, the diagonal from harmonic numbers; psi_0's column
+    is divided by sqrt(2) in a normalized frame.  R = [[C, I], [R22, 0]]
+    in frame order, C = L[:K, :N - K]* and R22 the Cholesky factor of
+    D (A / Q) D, D = diag(sqrt(2k + 1)), with A and Q from gram._tail_gram
+    (Q doubled in a normalized frame).  V and Sigma come from mp.eigsy of
+    G* G, and kappa = ||R V_r Sigma_r^-1||_2, lambda = ||R V_d||_2 / eps
+    with the singular values strictly above eps kept, eps taken as the
+    double it is.
+    """
+    from fractions import Fraction
+
+    import mpmath
+
+    from frameapprox.gram import _tail_gram
+
+    K, N = frame.K, frame.N
+    n = N - K
+
+    def harmonic(j):
+        return sum(Fraction(1, i) for i in range(1, j + 1))
+
+    def s(k, m):
+        if k != m:
+            return Fraction((-1) ** (k + m + 1), abs(m - k) * (m + k + 1))
+        return -(2 * (harmonic(2 * k + 1) - harmonic(k)) - Fraction(1, 2 * k + 1)) / (2 * k + 1)
+
+    def norm2(X):
+        return mpmath.sqrt(max(mpmath.mp.eigsy(X.T * X, eigvals_only=True)))
+
+    with mpmath.workdps(60):
+        mp = mpmath.mp
+        scale = 1 / mp.sqrt(2) if frame.normalize_psi else mp.mpf(1)
+
+        def L(k, m):
+            value = mp.sqrt((2 * k + 1) * (2 * m + 1)) * _mp_fraction(s(k, m))
+            return value * scale if k == 0 else value
+
+        G = mp.matrix(M, N)
+        for j in range(M):
+            for k in range(K):
+                G[j, k] = L(k, j)
+            if j < n:
+                G[j, K + j] = 1
+        A, Q = _tail_gram(K, n)
+        if frame.normalize_psi:
+            Q *= 2
+        W = mp.matrix(K, K)
+        for k in range(K):
+            for l in range(K):
+                W[k, l] = mp.sqrt((2 * k + 1) * (2 * l + 1)) * mp.mpf(A[k][l]) / Q
+        R22 = mp.cholesky(W).T
+        R = mp.matrix(N, N)
+        for i in range(n):
+            R[i, K + i] = 1
+            for k in range(K):
+                R[i, k] = L(k, i)
+        for i in range(K):
+            for k in range(K):
+                R[n + i, k] = R22[i, k]
+        E, V = mp.eigsy(G.T * G)
+        order = sorted(range(N), key=lambda j: -E[j])
+        sigma = [mp.sqrt(max(E[j], 0)) for j in order]
+        r = sum(1 for value in sigma if value > epsilon)
+        kept = mp.matrix(N, max(r, 1))
+        dropped = mp.matrix(N, max(N - r, 1))
+        for c, j in enumerate(order):
+            for i in range(N):
+                if c < r:
+                    kept[i, c] = V[i, j] / sigma[c]
+                else:
+                    dropped[i, c - r] = V[i, j]
+        kappa = norm2(R * kept) if r else 0
+        lam = norm2(R * dropped) / epsilon if r < N else 0
+        return r, float(kappa), float(lam)

@@ -57,7 +57,7 @@ def test_criterion_02_stability_constant_bounds():
             for gamma in (1, 2, 4):
                 scheme = builder(gamma * N)
                 system = gram.build_system(frame, scheme)
-                a_prime = sampling.richness_estimate(system, factor)
+                a_prime = sampling.richness_estimate(system)
                 cap_a = 1.0 / np.sqrt(a_prime)
                 for eps in eps_grid:
                     for value in (diagnostics.compute_kappa(system, factor, eps),
@@ -186,7 +186,7 @@ def test_criterion_09_discrete_projection_structure():
         system = gram.build_system(frame, scheme)
         eps = 1e-8
         y = sampling.sample(scheme, frames.target_function)
-        sol = solver.truncated_svd_solve(system, y, eps)
+        sol = solver.truncated_svd_solve(system, y.values, eps)
         r = sol.kept_rank
         # brute force: synthesize each right singular vector and resample it
         xi_samples = np.column_stack([

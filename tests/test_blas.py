@@ -30,7 +30,7 @@ ENTRY_POINTS = {
     "compute_kappa": lambda c, f: fa.compute_kappa(c.system, c.factor, EPS),
     # a cutoff above sigma_min, so some direction is discarded
     "compute_lambda": lambda c, f: fa.compute_lambda(c.system, c.factor, c.sigma_mid),
-    "richness_estimate": lambda c, f: fa.richness_estimate(c.system, c.factor),
+    "richness_estimate": lambda c, f: fa.richness_estimate(c.system),
     "diagnose": lambda c, f: fa.diagnose(c.system, c.factor, [EPS]),
     "stable_sampling_rate": lambda c, f: fa.stable_sampling_rate(
         c.frame, fa.legendre_points(), 2.0, EPS),

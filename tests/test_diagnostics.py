@@ -76,8 +76,6 @@ def test_factor_of_another_weight_is_rejected():
     for constant in (diagnostics.compute_kappa, diagnostics.compute_lambda):
         with pytest.raises(ValueError):
             constant(system, factor, 1e-5)
-    with pytest.raises(ValueError):
-        sampling.richness_estimate(system, factor)
 
 
 def test_constants_regression_enriched_gauss_cell():
@@ -122,6 +120,25 @@ def test_constants_match_dense_oracle():
         assert sampled <= kappa * (1 + 1e-9)
 
 
+@pytest.mark.parametrize("N, M, exact", [
+    pytest.param(20, 20, None, id="20-20"),
+    pytest.param(20, 40, None, id="20-40"),
+    # the oracle's reading, 3 s a cell at N = 60 (constants_node_blocks.csv)
+    pytest.param(60, 60, (56, 2.4964878400442986442, 5.4830883118115623865), id="60-60-frozen"),
+    pytest.param(60, 120, (57, 1.5975457742313443278, 0.0028813407795938880549),
+                 id="60-120-frozen"),
+])
+def test_inner_product_constants_match_the_exact_data_oracle(N, M, exact):
+    # production reads kappa to 2.2e-12 and lambda to 7.0e-10 in these cells
+    # (N = 20, M = 40 and N = 60, M = 120), from its double G and R
+    eps = 1e-5
+    frame, factor, system = _cell(N, 5, sampling.inner_product_scheme(M))
+    rank, kappa, lam = exact or oracles.oracle_inner_product_constants(frame, M, eps)
+    assert system.kept_rank(eps) == rank
+    assert diagnostics.compute_kappa(system, factor, eps) == pytest.approx(kappa, rel=3e-11, abs=0)
+    assert diagnostics.compute_lambda(system, factor, eps) == pytest.approx(lam, rel=1e-8, abs=0)
+
+
 @pytest.mark.parametrize("M", [15, 19])
 def test_lambda_rejects_fewer_samples_than_elements(M):
     # the thin SVD misses the N - M null directions of G: at M = 15 (r = M)
@@ -146,7 +163,7 @@ def test_constants_respect_all_upper_bounds():
             kappa = diagnostics.compute_kappa(system, factor, eps)
             lam = diagnostics.compute_lambda(system, factor, eps)
             assert max(kappa, lam) <= np.sqrt(frame.B_upper) / eps
-            a_prime = sampling.richness_estimate(system, factor)
+            a_prime = sampling.richness_estimate(system)
             cap = 1.0 / np.sqrt(a_prime)
             assert max(kappa, lam) <= cap * (1 + 1e-9)
 
@@ -178,7 +195,7 @@ def test_diagnose_report_consistency():
     assert report.kept_rank == int(np.sum(system.singular_values > eps))
     assert report.sigma_max == system.singular_values[0]
     assert (report.M, report.N) == (24, 12)
-    assert report.A_prime_MN == pytest.approx(sampling.richness_estimate(system, factor))
+    assert report.A_prime_MN == pytest.approx(sampling.richness_estimate(system))
     assert report.bound_violations(frame, system.scheme) == []
 
 
@@ -314,10 +331,8 @@ def test_ssr_leaves_the_richness_data_unbuilt():
     frame = frames.onb_plus_k(20, 5)
     M = diagnostics.stable_sampling_rate(frame, sampling.legendre_points(), 2.0, 1e-5)
     assert M is not None and sampling._residual_basis.cache_info().currsize == 0
-    factor = gram.build_gram_factor(frame)
     for M in (20, 40):
-        sampling.richness_estimate(gram.build_system(frame, sampling.legendre_point_scheme(M)),
-                                   factor)
+        sampling.richness_estimate(gram.build_system(frame, sampling.legendre_point_scheme(M)))
     assert sampling._residual_basis.cache_info().currsize == 1
 
 
