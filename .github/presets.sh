@@ -40,3 +40,8 @@ python -m frameapprox.cli constants --K 5 --nodes chebyshev --N 5:1:12 \
 python -m frameapprox.cli constants --frame onb --nodes equispaced --N 1:1:12 \
   --gammas 3,1,1.5,1.6 --eps 1e-5,1e-12 --out "$tmp/onb.csv"
 cat "$tmp/k1.csv" "$tmp/k5.csv" "$tmp/onb.csv" > "$out/constants_stacked.csv"
+# the one experiment that no preset runs; its stdout summary reads kept_rank
+# from the fit, and the "wrote" line is left out, since its path differs
+# between runs
+python -m frameapprox.cli single_approx --K 5 --N 20 --M 40 --nodes chebyshev \
+  --eps 2e-13 --out "$out/single_approx.csv" | grep -v '^wrote ' > "$out/single_approx.txt"

@@ -39,7 +39,6 @@ from .gram import (
     build_system,
 )
 from .solver import (
-    Approximant,
     BoundCheck,
     ErrorReport,
     RegularizedSolution,

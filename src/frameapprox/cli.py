@@ -345,13 +345,14 @@ def run_constants(cfg: ExperimentConfig) -> Path:
     Ns = cfg.N_values
     N_max = _require_sweep(Ns, "N")
     _require_factor_k(cfg)
-    if cfg.K > MAX_VERIFIED_A_PRIME_K:
-        print(f"warning: A' is verified only for K <= {MAX_VERIFIED_A_PRIME_K} (ROADMAP item 21)",
-              file=sys.stderr)
     for gamma in cfg.gammas:
         if not 1 <= gamma < math.inf:
             raise ConfigError(f"gamma must be finite and at least 1, got {gamma}")
         _system_rows(gamma * N_max, N_max)
+    # only a run that goes ahead is warned
+    if cfg.K > MAX_VERIFIED_A_PRIME_K:
+        print(f"warning: A' is verified only for K <= {MAX_VERIFIED_A_PRIME_K} (ROADMAP item 21)",
+              file=sys.stderr)
     sweep = diagnostics.constants_sweep(
         cfg.frame_for, cfg.scheme_family(), cfg.gammas, Ns, cfg.epsilons
     )
@@ -374,8 +375,10 @@ def run_ssr(cfg: ExperimentConfig) -> Path:
     rows = []
     for N in Ns:
         frame = cfg.frame_for(N)
+        # the search's default grid ends at M = 64 N, above the cap from N = 1449 on
+        M_max = min(64 * N, MAX_SYSTEM_VALUES // N)
         for eps in cfg.epsilons:
-            theta_M = diagnostics.stable_sampling_rate(frame, family, cfg.theta, eps)
+            theta_M = diagnostics.stable_sampling_rate(frame, family, cfg.theta, eps, M_max=M_max)
             rows.append((N, cfg.theta, eps, -1 if theta_M is None else theta_M))
     path = cfg.out_path()
     _write_csv(path, ("N", "theta", "eps", "M_theta"), rows)
@@ -399,7 +402,7 @@ def run_single_approx(cfg: ExperimentConfig) -> Path:
     path = cfg.out_path()
     _write_csv(path, ("probe", "error"), rows)
     print(
-        f"N={N} M={M} eps={eps:g} kept_rank={approx.solution.kept_rank} "
+        f"N={N} M={M} eps={eps:g} kept_rank={approx.kept_rank} "
         f"max_error={report.max_error:.6e} coeff_norm={report.coefficient_norm:.6e}"
     )
     return path
@@ -494,12 +497,12 @@ def _check_error_bound(rng):
     approx = solver.approximate(
         frames.target_function, frame, sampling.legendre_points(), M=24, epsilon=eps
     )
-    kappa = diagnostics.compute_kappa(approx.solution.system, factor, eps)
-    lam = diagnostics.compute_lambda(approx.solution.system, factor, eps)
+    kappa = diagnostics.compute_kappa(approx.system, factor, eps)
+    lam = diagnostics.compute_lambda(approx.system, factor, eps)
     for _ in range(5):
         z = rng.standard_normal(frame.N)
         err = solver.verify_error_bound(approx, frames.target_function, z, kappa, lam)
-        coeff = solver.verify_coefficient_bound(approx.solution, frames.target_function, z)
+        coeff = solver.verify_coefficient_bound(approx, frames.target_function, z)
         if not (err.holds and coeff.holds):
             return False, "inequality violated"
     return True, "5 random z ok"

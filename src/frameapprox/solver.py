@@ -29,7 +29,6 @@ from .sampling import SchemeFamily, sample
 
 __all__ = [
     "RegularizedSolution",
-    "Approximant",
     "BoundCheck",
     "truncated_svd_solve",
     "approximate",
@@ -44,29 +43,22 @@ DEFAULT_EPSILON = 1e-13
 
 @dataclass
 class RegularizedSolution:
-    """Coefficients produced by a truncated-SVD solve.
+    """Coefficients produced by a truncated-SVD solve, callable as their expansion.
 
     `kept_rank` counts the singular values strictly above the cutoff;
     the coefficient vector lies in the span of their right singular
-    vectors, so it is orthogonal to every discarded direction.
+    vectors, so it is orthogonal to every discarded direction.  Calling
+    the solution at points x evaluates the expansion in the system's
+    frame, so it needs a system built from a frame.
     """
 
     coefficients: np.ndarray
     epsilon: float
     kept_rank: int
-    residual_discrete: float
     system: GramSystem
 
-
-@dataclass
-class Approximant:
-    """A callable frame expansion produced by the approximation pipeline."""
-
-    solution: RegularizedSolution
-    frame: FrameSpec
-
     def __call__(self, x):
-        return synthesize(self.frame, self.solution.coefficients, x)
+        return synthesize(self.system.frame, self.coefficients, x)
 
 
 class BoundCheck(NamedTuple):
@@ -94,13 +86,8 @@ def truncated_svd_solve(
     if kept_rank > 0:
         projected = system.U[:, :kept_rank].T @ values
         coeffs = system.Vt[:kept_rank].T @ (projected / s[:kept_rank])
-    residual = float(np.linalg.norm(system.matrix @ coeffs - values))
     return RegularizedSolution(
-        coefficients=coeffs,
-        epsilon=epsilon,
-        kept_rank=kept_rank,
-        residual_discrete=residual,
-        system=system,
+        coefficients=coeffs, epsilon=epsilon, kept_rank=kept_rank, system=system
     )
 
 
@@ -111,38 +98,34 @@ def approximate(
     family: SchemeFamily,
     M: int,
     epsilon: float = DEFAULT_EPSILON,
-) -> Approximant:
+) -> RegularizedSolution:
     """Sample f on family.realize(M), build the frame system, and solve at cutoff epsilon."""
     scheme = family.realize(M)
     system = build_system(frame, scheme)
-    solution = truncated_svd_solve(system, sample(scheme, f).values, epsilon)
-    return Approximant(solution=solution, frame=frame)
+    return truncated_svd_solve(system, sample(scheme, f).values, epsilon)
 
 
 @dataclass
 class ErrorReport:
-    """Pointwise errors at probe points plus solve-quality summaries."""
+    """Pointwise errors at probe points plus the coefficient norm."""
 
     probes: np.ndarray
     errors: np.ndarray
     max_error: float
-    residual_discrete: float
     coefficient_norm: float
 
 
-def error_report(approx: Approximant, f, probe_points) -> ErrorReport:
+def error_report(solution: RegularizedSolution, f, probe_points) -> ErrorReport:
     """Absolute errors |f - A f| at the probe points; raises ValueError for none."""
     probes = np.atleast_1d(np.asarray(probe_points, dtype=float))
     if probes.size == 0:
         raise ValueError("probe_points is empty")
-    errors = np.abs(np.asarray(f(probes), dtype=float) - approx(probes))
-    sol = approx.solution
+    errors = np.abs(np.asarray(f(probes), dtype=float) - solution(probes))
     return ErrorReport(
         probes=probes,
         errors=errors,
         max_error=float(np.max(errors)),
-        residual_discrete=sol.residual_discrete,
-        coefficient_norm=float(np.linalg.norm(sol.coefficients)),
+        coefficient_norm=float(np.linalg.norm(solution.coefficients)),
     )
 
 
@@ -153,53 +136,55 @@ def _verification_rule(N: int) -> QuadratureRule:
     return hp_log_quadrature(levels=40, order=max(32, N + 12))
 
 
-def _comparison_norms(system: GramSystem, f, z: np.ndarray, rule: QuadratureRule):
-    """Continuous and discrete norms of f - T z, plus f at the rule nodes."""
-    fvals = np.asarray(f(rule.nodes), dtype=float)
-    elems = element_matrix(system.frame, rule.nodes)
-    diff = fvals - z @ elems
-    cont = float(np.sqrt(rule.weights @ (diff * diff)))
+def _comparison_vector(solution: RegularizedSolution, z) -> np.ndarray:
+    """z as a float array, after checking that z and the solution admit a bound check."""
+    if solution.epsilon <= 0:
+        raise ValueError("bound verification requires epsilon > 0")
+    z = np.asarray(z, dtype=float)
+    if z.shape != (solution.system.N,):
+        raise ValueError("comparison vector length must equal the frame size")
+    return z
+
+
+def _discrete_misfit(system: GramSystem, f, z: np.ndarray) -> float:
+    """||f - T z||_M: the sampled data of f less the samples of the expansion z."""
     y_f = sample(system.scheme, f).values
-    disc = float(np.linalg.norm(y_f - system.matrix @ z))
-    return cont, disc, fvals
+    return float(np.linalg.norm(y_f - system.matrix @ z))
 
 
 @one_blas_thread
-def verify_error_bound(approx: Approximant, f, z, kappa: float, lam: float) -> BoundCheck:
+def verify_error_bound(
+    solution: RegularizedSolution, f, z, kappa: float, lam: float
+) -> BoundCheck:
     """Check the approximation error bound against a comparison vector z.
 
     For point-value data the right-hand side is ||f - Tz|| +
     kappa ||f - Tz||_M + eps lambda ||z||; for basis-coefficient data it
     is the sharper (1 + sqrt(B) kappa) ||f - Tz|| + eps lambda ||z||.
+    Both L2 norms are taken on one quadrature rule, with one evaluation
+    of the frame there.
     """
-    sol = approx.solution
-    if sol.epsilon <= 0:
-        raise ValueError("bound verification requires epsilon > 0")
-    z = np.asarray(z, dtype=float)
-    if z.shape != (sol.system.N,):
-        raise ValueError("comparison vector length must equal the frame size")
-    rule = _verification_rule(sol.system.N)
-    cont, disc, fvals = _comparison_norms(sol.system, f, z, rule)
-    avals = synthesize(approx.frame, sol.coefficients, rule.nodes)
+    z = _comparison_vector(solution, z)
+    system = solution.system
+    rule = _verification_rule(system.N)
+    fvals = np.asarray(f(rule.nodes), dtype=float)
+    elems = element_matrix(system.frame, rule.nodes)
+    diff = fvals - z @ elems
+    cont = float(np.sqrt(rule.weights @ (diff * diff)))
+    avals = solution.coefficients @ elems
     lhs = float(np.sqrt(rule.weights @ ((fvals - avals) ** 2)))
-    eps_term = sol.epsilon * lam * float(np.linalg.norm(z))
-    if sol.system.scheme.nodes is None:  # inner products
-        rhs = (1.0 + np.sqrt(approx.frame.B_upper) * kappa) * cont + eps_term
+    eps_term = solution.epsilon * lam * float(np.linalg.norm(z))
+    if system.scheme.nodes is None:  # inner products
+        rhs = (1.0 + np.sqrt(system.frame.B_upper) * kappa) * cont + eps_term
     else:
-        rhs = cont + kappa * disc + eps_term
+        rhs = cont + kappa * _discrete_misfit(system, f, z) + eps_term
     return BoundCheck(holds=lhs <= rhs, slack=rhs - lhs, lhs=lhs, rhs=float(rhs))
 
 
 @one_blas_thread
 def verify_coefficient_bound(solution: RegularizedSolution, f, z) -> BoundCheck:
     """Check ||x_eps|| <= (1 / eps) ||f - Tz||_M + ||z||."""
-    if solution.epsilon <= 0:
-        raise ValueError("bound verification requires epsilon > 0")
-    z = np.asarray(z, dtype=float)
-    if z.shape != (solution.system.N,):
-        raise ValueError("comparison vector length must equal the frame size")
-    y_f = sample(solution.system.scheme, f).values
-    disc = float(np.linalg.norm(y_f - solution.system.matrix @ z))
+    z = _comparison_vector(solution, z)
     lhs = float(np.linalg.norm(solution.coefficients))
-    rhs = disc / solution.epsilon + float(np.linalg.norm(z))
+    rhs = _discrete_misfit(solution.system, f, z) / solution.epsilon + float(np.linalg.norm(z))
     return BoundCheck(holds=lhs <= rhs, slack=rhs - lhs, lhs=lhs, rhs=rhs)

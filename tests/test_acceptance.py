@@ -83,7 +83,7 @@ def _bound_cells():
         frame, factor = _factor(N, K)
         approx = solver.approximate(frames.target_function, frame, family,
                                     M=M, epsilon=eps)
-        system = approx.solution.system
+        system = approx.system
         kappa = diagnostics.compute_kappa(system, factor, eps)
         lam = diagnostics.compute_lambda(system, factor, eps)
         prepared.append((approx, kappa, lam))
@@ -99,7 +99,7 @@ def test_criterion_03_error_bound_inequality():
     violations = 0
     worst = np.inf
     for approx, kappa, lam in _bound_cells():
-        N = approx.solution.system.N
+        N = approx.system.N
         for _ in range(100):
             check = solver.verify_error_bound(
                 approx, frames.target_function, _random_z(rng, N), kappa, lam)
@@ -114,10 +114,10 @@ def test_criterion_04_coefficient_bound_inequality():
     violations = 0
     worst = np.inf
     for approx, _, _ in _bound_cells():
-        N = approx.solution.system.N
+        N = approx.system.N
         for _ in range(100):
             check = solver.verify_coefficient_bound(
-                approx.solution, frames.target_function, _random_z(rng, N))
+                approx, frames.target_function, _random_z(rng, N))
             worst = min(worst, check.slack / max(1.0, check.rhs))
             violations += check.slack < -1e-9 * max(1.0, check.rhs)
     _report(4, f"coefficient bound held for 600 random z (min relative slack {worst:.2e})",

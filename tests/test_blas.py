@@ -4,7 +4,8 @@ Each test reads the thread count through a (get, set) pair that logs
 every set: numpy's own OpenBLAS calls where numpy links OpenBLAS, and a
 simulated count of 3 otherwise, so the pin's bookkeeping is checked on
 every BLAS and its effect on the real one where there is one.  The work
-inside an entry point is observed from np.linalg.svd, np.linalg.norm and
+inside an entry point is observed from np.linalg.svd, np.linalg.norm,
+GramSystem.kept_rank (which the solve reads before its two products) and
 the sampled function, whichever the entry point reaches.
 """
 
@@ -38,7 +39,7 @@ ENTRY_POINTS = {
         lambda N: c.frame, fa.legendre_points(), [2.0], [c.frame.N], [EPS]),
     "verify_error_bound": lambda c, f: fa.verify_error_bound(c.approx, f, c.z, 1.0, 1.0),
     "verify_coefficient_bound": lambda c, f: fa.verify_coefficient_bound(
-        c.approx.solution, f, c.z),
+        c.approx, f, c.z),
 }
 
 
@@ -79,7 +80,7 @@ def calls(monkeypatch):
 
 @pytest.fixture
 def hook(monkeypatch):
-    """hook.fn(), if set, runs at every SVD, norm and sample inside the library."""
+    """hook.fn(), if set, runs at every SVD, norm, kept rank and sample inside the library."""
     state = SimpleNamespace(fn=None)
 
     def observed(original):
@@ -91,6 +92,7 @@ def hook(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", observed(np.linalg.svd))
     monkeypatch.setattr(np.linalg, "norm", observed(np.linalg.norm))
+    monkeypatch.setattr(fa.GramSystem, "kept_rank", observed(fa.GramSystem.kept_rank))
     state.f = observed(fa.target_function)
     return state
 

@@ -82,6 +82,29 @@ def test_constants_warns_past_the_verified_a_prime_range(K, warned, tmp_path, ca
     assert len(rows) == 1
 
 
+def test_rejected_constants_run_is_not_warned(tmp_path, capsys):
+    # K = 14 would warn, but the gamma is invalid, so only the error is written
+    out = tmp_path / "c.csv"
+    assert cli.main(["constants", "--K", "14", "--N", "20", "--gammas", "0.5",
+                     "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: gamma must be finite and at least 1, got 0.5\n"
+    assert not out.exists()
+
+
+def test_ssr_search_grid_stays_within_the_system_cap(tmp_path, monkeypatch):
+    # 64 N x N is within 2^27 values up to N = 1448 and above it from N = 1449
+    seen = {}
+
+    def record(frame, family, theta, eps, M_max=None):
+        seen[frame.N] = M_max
+
+    monkeypatch.setattr(cli.diagnostics, "stable_sampling_rate", record)
+    assert cli.main(["ssr", "--N", "1448:1:1449", "--eps", "1e-5",
+                     "--out", str(tmp_path / "s.csv")]) == 0
+    assert seen == {1448: 64 * 1448, 1449: cli.MAX_SYSTEM_VALUES // 1449}
+    assert 1449 * seen[1449] <= cli.MAX_SYSTEM_VALUES < 1449 * 64 * 1449
+
+
 def test_ssr_schema(tmp_path):
     out = tmp_path / "s.csv"
     code = cli.main(["ssr", "--K", "1", "--nodes", "inner", "--theta", "2",

@@ -34,7 +34,7 @@ def test_cutoff_above_spectrum_gives_zero_solution():
     sol = solver.truncated_svd_solve(system, y, epsilon=5.0)
     assert sol.kept_rank == 0
     assert np.all(sol.coefficients == 0)
-    assert sol.residual_discrete == pytest.approx(5.0)
+    assert np.linalg.norm(system.matrix @ sol.coefficients - y) == pytest.approx(5.0)
 
 
 def test_negative_epsilon_rejected():
@@ -57,7 +57,7 @@ def test_matches_least_squares_when_nothing_truncated():
     sol = solver.truncated_svd_solve(system, y, epsilon=1e-10)
     reference = np.linalg.lstsq(A, y, rcond=None)[0]
     assert np.abs(sol.coefficients - reference).max() < 1e-10
-    assert sol.residual_discrete == pytest.approx(
+    assert np.linalg.norm(A @ sol.coefficients - y) == pytest.approx(
         np.linalg.norm(A @ reference - y), abs=1e-12)
 
 
@@ -74,7 +74,8 @@ def test_kept_rank_and_norm_shrink_as_cutoff_grows(data):
     hi = solver.truncated_svd_solve(system, y, epsilon=eps_pair[1])
     assert hi.kept_rank <= lo.kept_rank
     assert np.linalg.norm(hi.coefficients) <= np.linalg.norm(lo.coefficients) + 1e-12
-    assert lo.residual_discrete <= hi.residual_discrete + 1e-12
+    residual = lambda sol: np.linalg.norm(system.matrix @ sol.coefficients - y)
+    assert residual(lo) <= residual(hi) + 1e-12
 
 
 def test_zero_cutoff_reproduces_in_range_data_exactly():
@@ -109,7 +110,7 @@ def test_approximate_recovers_basis_function_exactly():
                                 epsilon=1e-12)
     expected = np.zeros(8)
     expected[3] = 1.0
-    assert np.abs(approx.solution.coefficients - expected).max() < 1e-12
+    assert np.abs(approx.coefficients - expected).max() < 1e-12
     x = np.linspace(0.05, 1.0, 13)
     assert np.abs(approx(x) - target(x)).max() < 1e-12
 
@@ -121,7 +122,7 @@ def test_approximate_enriched_target_accuracy():
     report = solver.error_report(approx, frames.target_function, (0.2, 0.5, 0.9, 1.0))
     assert report.max_error < 1e-6
     assert report.coefficient_norm == pytest.approx(
-        np.linalg.norm(approx.solution.coefficients))
+        np.linalg.norm(approx.coefficients))
 
 
 def test_error_report_fields():
@@ -133,10 +134,13 @@ def test_error_report_fields():
     assert np.array_equal(report.probes, probes)
     assert len(report.errors) == 2
     assert report.max_error == np.max(report.errors)
-    system = approx.solution.system
+    # the fit leaves the part of the data outside its kept left singular vectors
+    system = approx.system
     y = sampling.sample(system.scheme, frames.target_function).values
-    expected_resid = np.linalg.norm(y - system.matrix @ approx.solution.coefficients)
-    assert report.residual_discrete == pytest.approx(expected_resid, abs=1e-13)
+    kept = system.U[:, :approx.kept_rank]
+    expected_resid = np.linalg.norm(y - kept @ (kept.T @ y))
+    resid = np.linalg.norm(y - system.matrix @ approx.coefficients)
+    assert resid == pytest.approx(expected_resid, abs=1e-13)
 
 
 def test_error_report_rejects_empty_probe_points():
@@ -151,7 +155,7 @@ def _bound_ingredients(frame, scheme_family, M, eps):
     factor = gram.build_gram_factor(frame)
     approx = solver.approximate(frames.target_function, frame, scheme_family,
                                 M=M, epsilon=eps)
-    system = approx.solution.system
+    system = approx.system
     kappa = diagnostics.compute_kappa(system, factor, eps)
     lam = diagnostics.compute_lambda(system, factor, eps)
     return approx, kappa, lam
@@ -164,11 +168,43 @@ def _bound_ingredients(frame, scheme_family, M, eps):
 def test_error_bound_holds_for_structured_z(family, M):
     frame = frames.onb_plus_k(12, 1)
     approx, kappa, lam = _bound_ingredients(frame, family, M, 1e-6)
-    for z in (np.zeros(12), approx.solution.coefficients):
+    for z in (np.zeros(12), approx.coefficients):
         check = solver.verify_error_bound(approx, frames.target_function, z,
                                           kappa, lam)
         assert check.holds
         assert check.lhs <= check.rhs
+
+
+@pytest.mark.parametrize("family,samples", [
+    (sampling.legendre_points(), 1),
+    (sampling.inner_products(), 0),
+])
+def test_error_bound_evaluates_the_frame_once(family, samples, monkeypatch):
+    frame = frames.onb_plus_k(12, 1)
+    approx, kappa, lam = _bound_ingredients(frame, family, 24, 1e-6)
+    calls = {"element_matrix": [], "synthesize": 0, "sample": 0}
+
+    def counted_elements(original):
+        def wrapper(frame, x):
+            calls["element_matrix"].append(np.asarray(x).size)
+            return original(frame, x)
+        return wrapper
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for module in (solver, frames):
+        monkeypatch.setattr(module, "element_matrix", counted_elements(module.element_matrix))
+        monkeypatch.setattr(module, "synthesize", counted("synthesize", module.synthesize))
+    monkeypatch.setattr(solver, "sample", counted("sample", solver.sample))
+    check = solver.verify_error_bound(approx, frames.target_function, np.zeros(12),
+                                      kappa, lam)
+    assert check.holds
+    assert calls == {"element_matrix": [solver._verification_rule(12).size],
+                     "synthesize": 0, "sample": samples}
 
 
 def test_error_bound_holds_for_random_z():
@@ -182,7 +218,7 @@ def test_error_bound_holds_for_random_z():
                                           kappa, lam)
         assert check.holds
         coeff = solver.verify_coefficient_bound(
-            approx.solution, frames.target_function, z)
+            approx, frames.target_function, z)
         assert coeff.holds
 
 
@@ -190,10 +226,10 @@ def test_coefficient_bound_with_zero_z_controls_norm():
     frame = frames.onb_plus_k(12, 1)
     approx, _, _ = _bound_ingredients(frame, sampling.legendre_points(), 24, 1e-6)
     check = solver.verify_coefficient_bound(
-        approx.solution, frames.target_function, np.zeros(12))
+        approx, frames.target_function, np.zeros(12))
     # with z = 0 the statement reads ||x|| <= ||f||_M / eps
     assert check.holds
-    y = sampling.sample(approx.solution.system.scheme, frames.target_function)
+    y = sampling.sample(approx.system.scheme, frames.target_function)
     assert check.rhs == pytest.approx(y.norm() / 1e-6, rel=1e-10)
 
 
