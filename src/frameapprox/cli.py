@@ -478,11 +478,10 @@ def _check_bound_invariants():
     worst = 0.0
     for gamma in (1, 2):
         frame = frames.onb_plus_k(10, 2)
-        factor = gram.build_gram_factor(frame)
         system = gram.build_system(frame, sampling.legendre_point_scheme(10 * gamma))
         eps = 1e-5
-        kappa = diagnostics.compute_kappa(system, factor, eps)
-        lam = diagnostics.compute_lambda(system, factor, eps)
+        kappa = diagnostics.compute_kappa(system, eps)
+        lam = diagnostics.compute_lambda(system, eps)
         cap_b = np.sqrt(frame.B_upper) / eps
         cap_a = 1.0 / np.sqrt(sampling.richness_estimate(system))
         worst = max(worst, kappa / cap_b, lam / cap_b,
@@ -492,16 +491,12 @@ def _check_bound_invariants():
 
 def _check_error_bound(rng):
     frame = frames.onb_plus_k(12, 1)
-    factor = gram.build_gram_factor(frame)
-    eps = 1e-6
     approx = solver.approximate(
-        frames.target_function, frame, sampling.legendre_points(), M=24, epsilon=eps
+        frames.target_function, frame, sampling.legendre_points(), M=24, epsilon=1e-6
     )
-    kappa = diagnostics.compute_kappa(approx.system, factor, eps)
-    lam = diagnostics.compute_lambda(approx.system, factor, eps)
     for _ in range(5):
         z = rng.standard_normal(frame.N)
-        err = solver.verify_error_bound(approx, frames.target_function, z, kappa, lam)
+        err = solver.verify_error_bound(approx, frames.target_function, z)
         coeff = solver.verify_coefficient_bound(approx, frames.target_function, z)
         if not (err.holds and coeff.holds):
             return False, "inequality violated"

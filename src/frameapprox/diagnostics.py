@@ -16,21 +16,20 @@ computed from R alone:
 
 with V_r the kept and V_d the discarded right singular vectors.
 
-kappa and lambda are functions of one (system, factor) pair: the sampled
-system from build_system and the Gram factor of its frame from
-build_gram_factor, computed once per frame.  The richness constant
-A'_{M,N} = sigma_min(G R^-1)^2 (sampling.richness_estimate) needs the
-system alone: it is computed in double from the polynomial columns of G
-and the sampled residuals of the frame's span, and it bounds both
-constants by 1/sqrt(A'_{M,N}).
-diagnose returns one report per cutoff for such a pair and computes A'
-once.  constants_sweep gives each (gamma, N) cell the reports diagnose
-would, to the bit, but evaluates each frame once per stack of cells: the
-distinct M of one N, in ascending order and in runs of at most
-_CHUNK_VALUES stacked matrix values or a single M, as the chunks of
-stable_sampling_rate below.  One Legendre table on a stack's nodes gives
-G and the rows phi_{n-1}, phi_n (and below n when N < 2K) that A' reads,
-and the cells' systems are then formed on their rows one at a time.
+kappa and lambda are functions of the sampled system alone: R is that of
+its frame, which build_gram_factor keeps for the last frame asked for.
+The richness constant A'_{M,N} = sigma_min(G R^-1)^2
+(sampling.richness_estimate) is computed in double from the polynomial
+columns of G and the sampled residuals of the frame's span, and it bounds
+both constants by 1/sqrt(A'_{M,N}).  diagnose returns one report per
+cutoff and computes A' once.  constants_sweep gives each (gamma, N) cell
+the reports diagnose would, to the bit, but evaluates each frame once
+per stack of cells: the distinct M of one N, in ascending order and in
+runs of at most _CHUNK_VALUES stacked matrix values or a single M, as the
+chunks of stable_sampling_rate below.  One Legendre table on a stack's
+nodes gives G and the rows phi_{n-1}, phi_n (and below n when N < 2K)
+that A' reads, and the cells' systems are then formed on their rows one
+at a time.
 
 kappa divides by the kept singular values, and the SVD returns the small
 ones with an absolute error of about u ||G|| (u the unit roundoff), a
@@ -150,7 +149,7 @@ import numpy as np
 
 from .blas import one_blas_thread
 from .frames import FrameSpec, _node_table
-from .gram import GramFactor, GramSystem, _system_matrix, build_gram_factor
+from .gram import GramSystem, _require, _system_matrix, build_gram_factor
 from .sampling import SamplingScheme, SchemeFamily, _richness_from_table, richness_estimate
 
 __all__ = [
@@ -175,14 +174,8 @@ def _check_epsilon(epsilon: float) -> None:
         raise ValueError("epsilon must be finite and > 0")
 
 
-def _check_factor(system: GramSystem, factor: GramFactor) -> None:
-    # a factor of another frame with the same N gives wrong constants silently
-    if factor.frame != system.frame:
-        raise ValueError("factor is not the Gram factor of the system's frame")
-
-
 @one_blas_thread
-def compute_kappa(system: GramSystem, factor: GramFactor, epsilon: float) -> float:
+def compute_kappa(system: GramSystem, epsilon: float) -> float:
     """Largest continuous norm of the regularized fit over unit data vectors.
 
     ||R V_r D^-1||_2 with the Rayleigh quotients d_j = u_j* G v_j in place
@@ -190,26 +183,28 @@ def compute_kappa(system: GramSystem, factor: GramFactor, epsilon: float) -> flo
     kappa as a relative error of u ||G|| / sigma_j.
     """
     _check_epsilon(epsilon)
-    _check_factor(system, factor)
+    _require(system, "frame")
+    R = build_gram_factor(system.frame).R
     r = system.kept_rank(epsilon)
     if r == 0:
         return 0.0
-    X = factor.R @ (system.Vt[:r].T / system.rayleigh_quotients[:r])
+    X = R @ (system.Vt[:r].T / system.rayleigh_quotients[:r])
     # the largest singular value, equal to np.linalg.norm(X, 2) to the bit
     return float(np.linalg.svd(X, compute_uv=False)[0])
 
 
 @one_blas_thread
-def compute_lambda(system: GramSystem, factor: GramFactor, epsilon: float) -> float:
+def compute_lambda(system: GramSystem, epsilon: float) -> float:
     """Scaled continuous norm of the discarded singular directions, for M >= N."""
     _check_epsilon(epsilon)
-    _check_factor(system, factor)
+    _require(system, "frame")
+    R = build_gram_factor(system.frame).R
     if system.M < system.N:
         raise ValueError("lambda requires M >= N: the thin SVD misses the null space of G")
     r = system.kept_rank(epsilon)
     if r == system.N:
         return 0.0
-    X = factor.R @ system.Vt[r:].T
+    X = R @ system.Vt[r:].T
     return float(np.linalg.svd(X, compute_uv=False)[0]) / epsilon
 
 
@@ -243,19 +238,16 @@ class DiagnosticsReport:
 
 
 @one_blas_thread
-def diagnose(
-    system: GramSystem, factor: GramFactor, epsilons: Sequence[float]
-) -> List[DiagnosticsReport]:
+def diagnose(system: GramSystem, epsilons: Sequence[float]) -> List[DiagnosticsReport]:
     """Stability reports of one sampled system, one per cutoff in epsilons.
 
     A'_{M,N} does not depend on the cutoff and is computed once.
     """
-    return _reports(system, factor, epsilons, richness_estimate(system))
+    return _reports(system, epsilons, richness_estimate(system))
 
 
-def _reports(
-    system: GramSystem, factor: GramFactor, epsilons: Sequence[float], a_prime: float
-) -> List[DiagnosticsReport]:
+def _reports(system: GramSystem, epsilons: Sequence[float], a_prime: float
+             ) -> List[DiagnosticsReport]:
     """diagnose's reports, given the system's A'_{M,N}."""
     s = system.singular_values
     return [
@@ -263,8 +255,8 @@ def _reports(
             M=system.M,
             N=system.N,
             epsilon=eps,
-            kappa=compute_kappa(system, factor, eps),
-            lam=compute_lambda(system, factor, eps),
+            kappa=compute_kappa(system, eps),
+            lam=compute_lambda(system, eps),
             kept_rank=system.kept_rank(eps),
             sigma_max=float(s[0]),
             sigma_min=float(s[-1]),
@@ -304,8 +296,8 @@ def stable_sampling_rate(
     if M_max < N:
         raise ValueError(f"M_max must be at least frame.N = {N}, got {M_max}")
 
-    factor = build_gram_factor(frame)
-    R_norm = np.linalg.norm(factor.R)
+    R = build_gram_factor(frame).R
+    R_norm = np.linalg.norm(R)
     witnesses = None
     for chunk in _stacks(range(N, M_max + 1, stride), N):
         G, schemes, _ = _stacked_matrix(frame, scheme_family, chunk)
@@ -327,13 +319,13 @@ def stable_sampling_rate(
                                             scheme=schemes[step])
             # lambda cannot rescue a step that kappa alone fails, so it is
             # only computed when kappa passes
-            if (compute_kappa(system, factor, epsilon) <= theta
-                    and compute_lambda(system, factor, epsilon) <= theta):
+            if (compute_kappa(system, epsilon) <= theta
+                    and compute_lambda(system, epsilon) <= theta):
                 return M
             r = system.kept_rank(epsilon)
             Z = system.Vt[max(r - 1, 0):r + 1].T
             # ||R z|| and eps ||z|| hold until the witnesses are refreshed
-            witnesses = (Z, np.linalg.norm(factor.R @ Z, axis=0),
+            witnesses = (Z, np.linalg.norm(R @ Z, axis=0),
                          epsilon * np.linalg.norm(Z, axis=0))
             step += 1
     return None
@@ -419,17 +411,16 @@ def constants_sweep(
 ) -> List[Tuple[float, DiagnosticsReport]]:
     """(gamma, report) over the grid M = ceil(gamma N), ordered by (gamma, N, epsilon).
 
-    Each cell's reports equal diagnose(build_system(frame, scheme), factor,
-    epsilons) to the bit, with the frame's Gram factor shared across its
-    cells.  The distinct M of one N are evaluated in stacks (module
-    docstring), each from one _stacked_matrix call whose Legendre table
-    gives G and the rows A' reads; each M's system is then formed on its
-    rows, one at a time.
+    Each cell's reports equal diagnose(build_system(frame, scheme),
+    epsilons) to the bit.  The frames are taken one at a time, so their
+    cells share one Gram factor build.  The distinct M of one N are
+    evaluated in stacks (module docstring), each from one _stacked_matrix
+    call whose Legendre table gives G and the rows A' reads; each M's
+    system is then formed on its rows, one at a time.
     """
     reports = {}
     for N in sorted(set(Ns)):
         frame = frame_family(N)
-        factor = build_gram_factor(frame)
         Ms = sorted({max(N, math.ceil(gamma * N)) for gamma in gammas})
         for stack in _stacks(Ms, N):
             # A' reads phi_n, n = N - K, of an enriched frame, and no table
@@ -441,7 +432,7 @@ def constants_sweep(
                 block = slice(start, start + M)
                 system = GramSystem.from_matrix(G[block], frame=frame, scheme=scheme)
                 a_prime = _richness_from_table(system, None if table is None else table[:, block])
-                reports[N, M] = _reports(system, factor, epsilons, a_prime)
+                reports[N, M] = _reports(system, epsilons, a_prime)
                 start += M
     rows = [(float(gamma), report) for gamma in gammas for N in Ns
             for report in reports[N, max(N, math.ceil(gamma * N))]]

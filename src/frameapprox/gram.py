@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -71,7 +71,14 @@ class GramSystem:
         return np.einsum("jk,jk->j", self.U.T @ self.matrix, self.Vt)
 
 
-@dataclass
+def _require(system: GramSystem, *fields: str) -> None:
+    """Raise a ValueError naming each of fields ("frame", "scheme") that system lacks."""
+    missing = " and no ".join(name for name in fields if getattr(system, name) is None)
+    if missing:
+        raise ValueError(f"the system has no {missing}: build it with build_system")
+
+
+@dataclass(frozen=True)
 class GramFactor:
     """A square root of the continuous Gram of the frame, in closed form.
 
@@ -89,15 +96,12 @@ class GramFactor:
     R[:N - K, :K] and R22 (K x K, upper triangular) is R[N - K:, :K].
     `matrix` is the quadrature factor H of the same Gram (H* H = Gram to
     about 1e-13), evaluated on every read for checks that want a route
-    independent of the closed forms; no library path uses it.
+    independent of the closed forms; no library path uses it.  Frozen,
+    with R read-only, since build_gram_factor's cache shares it.
     """
 
     R: np.ndarray
     frame: FrameSpec
-
-    @property
-    def N(self) -> int:
-        return self.R.shape[1]
 
     @property
     def matrix(self) -> np.ndarray:
@@ -162,6 +166,7 @@ def build_system(frame: FrameSpec, scheme: SamplingScheme) -> GramSystem:
     return GramSystem.from_matrix(_system_matrix(frame, scheme), frame=frame, scheme=scheme)
 
 
+@lru_cache(maxsize=1)  # one entry: a dense R is N^2 doubles, 1 GiB at N = 11585
 def build_gram_factor(frame: FrameSpec) -> GramFactor:
     """The closed-form square root of the continuous Gram of the frame (see GramFactor).
 
@@ -195,6 +200,7 @@ def build_gram_factor(frame: FrameSpec) -> GramFactor:
     R = np.eye(N, N, K)
     R[:n0, :K] = _log_moment_block(K, n0, frame.normalize_psi)
     R[n0:, :K] = _exact_cholesky(A, Q, range(1, 2 * K, 2))
+    R.flags.writeable = False
     return GramFactor(R=R, frame=frame)
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .blas import one_blas_thread
 from .frames import FrameSpec
-from .gram import GramSystem, _exact_cholesky, _tail_gram
+from .gram import GramSystem, _exact_cholesky, _require, _tail_gram
 from .orthopoly import (
     _gauss_legendre_cached,
     _node_blocks,
@@ -216,8 +216,11 @@ def richness_estimate(system: GramSystem) -> float:
     """
     if system.M < system.N:
         raise ValueError("richness estimate requires M >= N")
+    _require(system, "frame")
     K = system.frame.K
     # a pure basis reads neither the scheme nor a table
+    if K:
+        _require(system, "scheme")
     nodes = system.scheme.nodes if K else None
     table = None if nodes is None else legendre_table(system.N - K, nodes)
     return _richness_from_table(system, table)

@@ -22,8 +22,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .blas import one_blas_thread
+from .diagnostics import compute_kappa, compute_lambda
 from .frames import FrameSpec, element_matrix, synthesize
-from .gram import GramSystem, build_system
+from .gram import GramSystem, _require, build_system
 from .orthopoly import QuadratureRule, hp_log_quadrature
 from .sampling import SchemeFamily, sample
 
@@ -58,6 +59,7 @@ class RegularizedSolution:
     system: GramSystem
 
     def __call__(self, x):
+        _require(self.system, "frame")
         return synthesize(self.system.frame, self.coefficients, x)
 
 
@@ -140,6 +142,7 @@ def _comparison_vector(solution: RegularizedSolution, z) -> np.ndarray:
     """z as a float array, after checking that z and the solution admit a bound check."""
     if solution.epsilon <= 0:
         raise ValueError("bound verification requires epsilon > 0")
+    _require(solution.system, "frame", "scheme")
     z = np.asarray(z, dtype=float)
     if z.shape != (solution.system.N,):
         raise ValueError("comparison vector length must equal the frame size")
@@ -153,19 +156,20 @@ def _discrete_misfit(system: GramSystem, f, z: np.ndarray) -> float:
 
 
 @one_blas_thread
-def verify_error_bound(
-    solution: RegularizedSolution, f, z, kappa: float, lam: float
-) -> BoundCheck:
+def verify_error_bound(solution: RegularizedSolution, f, z) -> BoundCheck:
     """Check the approximation error bound against a comparison vector z.
 
     For point-value data the right-hand side is ||f - Tz|| +
     kappa ||f - Tz||_M + eps lambda ||z||; for basis-coefficient data it
     is the sharper (1 + sqrt(B) kappa) ||f - Tz|| + eps lambda ||z||.
-    Both L2 norms are taken on one quadrature rule, with one evaluation
-    of the frame there.
+    kappa and lambda are computed here for the system at the solution's
+    epsilon, which needs M >= N (compute_lambda).  Both L2 norms are taken
+    on one quadrature rule, with one evaluation of the frame there.
     """
     z = _comparison_vector(solution, z)
     system = solution.system
+    kappa = compute_kappa(system, solution.epsilon)
+    lam = compute_lambda(system, solution.epsilon)
     rule = _verification_rule(system.N)
     fvals = np.asarray(f(rule.nodes), dtype=float)
     elems = element_matrix(system.frame, rule.nodes)

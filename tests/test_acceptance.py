@@ -22,15 +22,8 @@ def _report(number, description, passed):
     assert passed, line
 
 
-_FACTORS = {}
-
-
-def _factor(N, K):
-    key = (N, K)
-    if key not in _FACTORS:
-        frame = frames.onb_plus_k(N, K) if K else frames.legendre_onb(N)
-        _FACTORS[key] = (frame, gram.build_gram_factor(frame))
-    return _FACTORS[key]
+def _frame(N, K):
+    return frames.onb_plus_k(N, K) if K else frames.legendre_onb(N)
 
 
 def test_criterion_01_log_moment_closed_form():
@@ -52,7 +45,7 @@ def test_criterion_02_stability_constant_bounds():
     worst_b, worst_a = 0.0, 0.0
     for builder in (sampling.legendre_point_scheme, sampling.equispaced_point_scheme):
         for N in (10, 20, 40):
-            frame, factor = _factor(N, 5)
+            frame = _frame(N, 5)
             cap_b_scale = np.sqrt(1.0 + 2.0 * 5 ** 2)
             for gamma in (1, 2, 4):
                 scheme = builder(gamma * N)
@@ -60,8 +53,8 @@ def test_criterion_02_stability_constant_bounds():
                 a_prime = sampling.richness_estimate(system)
                 cap_a = 1.0 / np.sqrt(a_prime)
                 for eps in eps_grid:
-                    for value in (diagnostics.compute_kappa(system, factor, eps),
-                                  diagnostics.compute_lambda(system, factor, eps)):
+                    for value in (diagnostics.compute_kappa(system, eps),
+                                  diagnostics.compute_lambda(system, eps)):
                         worst_b = max(worst_b, value / (cap_b_scale / eps))
                         worst_a = max(worst_a, value / cap_a)
     ok = worst_b <= 1 + 1e-9 and worst_a <= 1 + 1e-9
@@ -78,16 +71,8 @@ def _bound_cells():
         (15, 1, sampling.inner_products(), 30, 1e-5),
         (25, 5, sampling.inner_products(), 50, 1e-8),
     ]
-    prepared = []
-    for N, K, family, M, eps in cells:
-        frame, factor = _factor(N, K)
-        approx = solver.approximate(frames.target_function, frame, family,
-                                    M=M, epsilon=eps)
-        system = approx.system
-        kappa = diagnostics.compute_kappa(system, factor, eps)
-        lam = diagnostics.compute_lambda(system, factor, eps)
-        prepared.append((approx, kappa, lam))
-    return prepared
+    return [solver.approximate(frames.target_function, _frame(N, K), family, M=M, epsilon=eps)
+            for N, K, family, M, eps in cells]
 
 
 def _random_z(rng, N):
@@ -98,11 +83,11 @@ def test_criterion_03_error_bound_inequality():
     rng = np.random.default_rng(2026)
     violations = 0
     worst = np.inf
-    for approx, kappa, lam in _bound_cells():
+    for approx in _bound_cells():
         N = approx.system.N
         for _ in range(100):
             check = solver.verify_error_bound(
-                approx, frames.target_function, _random_z(rng, N), kappa, lam)
+                approx, frames.target_function, _random_z(rng, N))
             worst = min(worst, check.slack / max(1.0, check.rhs))
             violations += check.slack < -1e-9 * max(1.0, check.rhs)
     _report(3, f"error bound held for 600 random z (min relative slack {worst:.2e})",
@@ -113,7 +98,7 @@ def test_criterion_04_coefficient_bound_inequality():
     rng = np.random.default_rng(2027)
     violations = 0
     worst = np.inf
-    for approx, _, _ in _bound_cells():
+    for approx in _bound_cells():
         N = approx.system.N
         for _ in range(100):
             check = solver.verify_coefficient_bound(
@@ -165,13 +150,13 @@ def test_criterion_07_oversampling_plateau():
 
 def test_criterion_08_node_family_contrast():
     eps = 1e-5
-    frame, factor = _factor(60, 5)
+    frame = _frame(60, 5)
     values = {}
     for name, builder in (("legendre", sampling.legendre_point_scheme),
                           ("equispaced", sampling.equispaced_point_scheme)):
         system = gram.build_system(frame, builder(120))
-        values[name] = (diagnostics.compute_kappa(system, factor, eps),
-                        diagnostics.compute_lambda(system, factor, eps))
+        values[name] = (diagnostics.compute_kappa(system, eps),
+                        diagnostics.compute_lambda(system, eps))
     ok = max(values["legendre"]) <= 100 and max(values["equispaced"]) >= 1e3
     _report(8, f"legendre constants {tuple(f'{v:.3g}' for v in values['legendre'])} "
                f"vs equispaced {tuple(f'{v:.3g}' for v in values['equispaced'])}", ok)
@@ -182,7 +167,7 @@ def test_criterion_09_discrete_projection_structure():
     for N, K, scheme in ((10, 1, sampling.legendre_point_scheme(20)),
                          (12, 3, sampling.chebyshev_point_scheme(24)),
                          (12, 2, sampling.inner_product_scheme(20))):
-        frame, _ = _factor(N, K)
+        frame = _frame(N, K)
         system = gram.build_system(frame, scheme)
         eps = 1e-8
         y = sampling.sample(scheme, frames.target_function)
@@ -211,10 +196,11 @@ def test_criterion_10_dense_oracle_equivalence():
                               (12, 3, sampling.chebyshev_point_scheme(24), 1e-6),
                               (10, 2, sampling.inner_product_scheme(20), 1e-5),
                               (12, 5, sampling.equispaced_point_scheme(24), 1e-3)):
-        frame, factor = _factor(N, K)
+        frame = _frame(N, K)
+        factor = gram.build_gram_factor(frame)
         system = gram.build_system(frame, scheme)
-        kappa = diagnostics.compute_kappa(system, factor, eps)
-        lam = diagnostics.compute_lambda(system, factor, eps)
+        kappa = diagnostics.compute_kappa(system, eps)
+        lam = diagnostics.compute_lambda(system, eps)
         ref_k = oracles.dense_kappa(system, factor, eps)
         ref_l = oracles.dense_lambda(system, factor, eps)
         worst = max(worst, abs(kappa - ref_k) / ref_k)

@@ -28,16 +28,16 @@ ENTRY_POINTS = {
     "GramSystem.from_matrix": lambda c, f: fa.GramSystem.from_matrix(c.system.matrix),
     "truncated_svd_solve": lambda c, f: fa.truncated_svd_solve(c.system, c.y, EPS),
     "sample": lambda c, f: fa.sample(c.scheme, f),
-    "compute_kappa": lambda c, f: fa.compute_kappa(c.system, c.factor, EPS),
+    "compute_kappa": lambda c, f: fa.compute_kappa(c.system, EPS),
     # a cutoff above sigma_min, so some direction is discarded
-    "compute_lambda": lambda c, f: fa.compute_lambda(c.system, c.factor, c.sigma_mid),
+    "compute_lambda": lambda c, f: fa.compute_lambda(c.system, c.sigma_mid),
     "richness_estimate": lambda c, f: fa.richness_estimate(c.system),
-    "diagnose": lambda c, f: fa.diagnose(c.system, c.factor, [EPS]),
+    "diagnose": lambda c, f: fa.diagnose(c.system, [EPS]),
     "stable_sampling_rate": lambda c, f: fa.stable_sampling_rate(
         c.frame, fa.legendre_points(), 2.0, EPS),
     "constants_sweep": lambda c, f: fa.constants_sweep(
         lambda N: c.frame, fa.legendre_points(), [2.0], [c.frame.N], [EPS]),
-    "verify_error_bound": lambda c, f: fa.verify_error_bound(c.approx, f, c.z, 1.0, 1.0),
+    "verify_error_bound": lambda c, f: fa.verify_error_bound(c.approx, f, c.z),
     "verify_coefficient_bound": lambda c, f: fa.verify_coefficient_bound(
         c.approx, f, c.z),
 }
@@ -50,7 +50,7 @@ def case():
     system = fa.build_system(frame, scheme)
     approx = fa.approximate(fa.target_function, frame, fa.legendre_points(), 16, EPS)
     return SimpleNamespace(
-        frame=frame, scheme=scheme, system=system, factor=fa.build_gram_factor(frame),
+        frame=frame, scheme=scheme, system=system,
         approx=approx, y=np.ones(16), z=np.zeros(frame.N),
         sigma_mid=float(system.singular_values[frame.N // 2]),
     )

@@ -11,77 +11,82 @@ from frameapprox import diagnostics, frames, gram, sampling
 
 def _cell(N, K, scheme):
     frame = frames.onb_plus_k(N, K) if K else frames.legendre_onb(N)
-    factor = gram.build_gram_factor(frame)
-    system = gram.build_system(frame, scheme)
-    return frame, factor, system
+    return frame, gram.build_system(frame, scheme)
 
 
 def test_identity_system_constants():
-    frame, factor, system = _cell(8, 0, sampling.inner_product_scheme(8))
-    assert diagnostics.compute_kappa(system, factor, 1e-5) == pytest.approx(1.0, abs=1e-10)
-    assert diagnostics.compute_lambda(system, factor, 1e-5) == 0.0
+    frame, system = _cell(8, 0, sampling.inner_product_scheme(8))
+    assert diagnostics.compute_kappa(system, 1e-5) == pytest.approx(1.0, abs=1e-10)
+    assert diagnostics.compute_lambda(system, 1e-5) == 0.0
 
 
 def test_lambda_vanishes_when_nothing_is_truncated():
-    frame, factor, system = _cell(10, 1, sampling.legendre_point_scheme(20))
+    frame, system = _cell(10, 1, sampling.legendre_point_scheme(20))
     eps = 0.5 * system.singular_values[-1]
-    assert diagnostics.compute_lambda(system, factor, eps) == 0.0
+    assert diagnostics.compute_lambda(system, eps) == 0.0
 
 
 def test_constants_equal_the_norm_route_to_the_bit():
     # the 2-norm is taken as the first singular value, as np.linalg.norm(X, 2) takes it
     for N, K, M, eps in ((10, 5, 20, 1e-5), (30, 5, 75, 1e-13), (40, 5, 80, 1e-8)):
-        frame, factor, system = _cell(N, K, sampling.legendre_point_scheme(M))
+        frame, system = _cell(N, K, sampling.legendre_point_scheme(M))
+        R = gram.build_gram_factor(frame).R
         r = system.kept_rank(eps)
-        kept = factor.R @ (system.Vt[:r].T / system.rayleigh_quotients[:r])
-        assert diagnostics.compute_kappa(system, factor, eps) == float(np.linalg.norm(kept, 2))
+        kept = R @ (system.Vt[:r].T / system.rayleigh_quotients[:r])
+        assert diagnostics.compute_kappa(system, eps) == float(np.linalg.norm(kept, 2))
         if r < N:
-            dropped = factor.R @ system.Vt[r:].T
-            assert (diagnostics.compute_lambda(system, factor, eps)
+            dropped = R @ system.Vt[r:].T
+            assert (diagnostics.compute_lambda(system, eps)
                     == float(np.linalg.norm(dropped, 2)) / eps)
 
 
 def test_constants_input_validation():
-    frame, factor, system = _cell(6, 1, sampling.legendre_point_scheme(12))
+    frame, system = _cell(6, 1, sampling.legendre_point_scheme(12))
     with pytest.raises(ValueError):
-        diagnostics.compute_kappa(system, factor, 0.0)
-    # a factor of a larger frame, and of another frame with the same N
-    for other in (gram.build_gram_factor(frames.onb_plus_k(7, 1)),
-                  gram.build_gram_factor(frames.onb_plus_k(6, 2))):
-        for constant in (diagnostics.compute_kappa, diagnostics.compute_lambda):
-            with pytest.raises(ValueError):
-                constant(system, other, 1e-5)
+        diagnostics.compute_kappa(system, 0.0)
 
 
 @pytest.mark.parametrize("eps", [0.0, -1e-5, float("nan"), float("inf")])
 def test_constants_reject_a_nonpositive_or_nonfinite_epsilon(eps):
-    frame, factor, system = _cell(6, 1, sampling.legendre_point_scheme(12))
+    frame, system = _cell(6, 1, sampling.legendre_point_scheme(12))
     for constant in (diagnostics.compute_kappa, diagnostics.compute_lambda):
         with pytest.raises(ValueError, match="epsilon"):
-            constant(system, factor, eps)
+            constant(system, eps)
     with pytest.raises(ValueError, match="epsilon"):
         diagnostics.stable_sampling_rate(frame, sampling.legendre_points(), 2.0, eps)
 
 
-def test_factor_of_another_weight_is_rejected():
+def test_constants_read_the_factor_of_their_own_frame():
     # the two frames have the same N and differ in the number of weighted
-    # elements, so the normalized psi_0 of the first is unnormalized in the second
+    # elements, so the normalized psi_0 of the first is unnormalized in the
+    # second; alternating them makes the one-entry factor cache swap on
+    # every call, and each constant must still read its own frame's R
     frame = frames.onb_plus_k(10, 1)
     other = frames.onb_plus_k(10, 2)
     assert frame != other
     assert frame == frames.onb_plus_k(10, 1)
     assert hash(frame) == hash(frames.onb_plus_k(10, 1))
-    system = gram.build_system(frame, sampling.legendre_point_scheme(20))
-    factor = gram.build_gram_factor(other)
-    for constant in (diagnostics.compute_kappa, diagnostics.compute_lambda):
-        with pytest.raises(ValueError):
-            constant(system, factor, 1e-5)
+    eps = 0.05  # above the smallest singular value of both systems
+    cells = []
+    for f in (frame, other):
+        system = gram.build_system(f, sampling.legendre_point_scheme(20))
+        r = system.kept_rank(eps)
+        assert 0 < r < f.N
+        R = gram.build_gram_factor.__wrapped__(f).R  # built afresh, past the cache
+        kappa = np.linalg.svd(R @ (system.Vt[:r].T / system.rayleigh_quotients[:r]),
+                              compute_uv=False)[0]
+        lam = np.linalg.svd(R @ system.Vt[r:].T, compute_uv=False)[0] / eps
+        cells.append((system, float(kappa), float(lam)))
+    assert cells[0][1:] != cells[1][1:]
+    for system, kappa, lam in cells * 3:
+        assert diagnostics.compute_kappa(system, eps) == kappa
+        assert diagnostics.compute_lambda(system, eps) == lam
 
 
 def test_constants_regression_enriched_gauss_cell():
-    frame, factor, system = _cell(40, 5, sampling.legendre_point_scheme(80))
-    kappa = diagnostics.compute_kappa(system, factor, 1e-5)
-    lam = diagnostics.compute_lambda(system, factor, 1e-5)
+    frame, system = _cell(40, 5, sampling.legendre_point_scheme(80))
+    kappa = diagnostics.compute_kappa(system, 1e-5)
+    lam = diagnostics.compute_lambda(system, 1e-5)
     assert kappa == pytest.approx(3.8335014568999006, rel=1e-6)
     assert lam == pytest.approx(0.07195146655083595, rel=1e-6)
 
@@ -89,11 +94,11 @@ def test_constants_regression_enriched_gauss_cell():
 def test_kappa_matches_extended_precision_oracle():
     # full rank (cond(G) = 7e7), so kappa = 1/sqrt(A'); A' = 3.1070470398e-7
     # is a 50-digit mpmath value on the same hp rule
-    frame, factor, system = _cell(10, 5, sampling.legendre_point_scheme(10))
+    frame, system = _cell(10, 5, sampling.legendre_point_scheme(10))
     eps = 1e-8
-    assert diagnostics.compute_kappa(system, factor, eps) == pytest.approx(
+    assert diagnostics.compute_kappa(system, eps) == pytest.approx(
         1.0 / np.sqrt(3.1070470398e-7), rel=1e-9)
-    [report] = diagnostics.diagnose(system, factor, [eps])
+    [report] = diagnostics.diagnose(system, [eps])
     assert report.bound_violations(frame, system.scheme) == []
 
 
@@ -111,9 +116,10 @@ def test_constants_match_dense_oracle():
         (40, 5, sampling.inner_product_scheme(80), 1e-5),
     ]
     for N, K, scheme, eps in cells:
-        frame, factor, system = _cell(N, K, scheme)
-        kappa = diagnostics.compute_kappa(system, factor, eps)
-        lam = diagnostics.compute_lambda(system, factor, eps)
+        frame, system = _cell(N, K, scheme)
+        factor = gram.build_gram_factor(frame)
+        kappa = diagnostics.compute_kappa(system, eps)
+        lam = diagnostics.compute_lambda(system, eps)
         assert kappa == pytest.approx(oracles.dense_kappa(system, factor, eps), rel=1e-8)
         assert lam == pytest.approx(oracles.dense_lambda(system, factor, eps), rel=1e-8)
         sampled = oracles.random_vector_lower_estimate(system, factor, eps, 100, rng)
@@ -132,26 +138,27 @@ def test_inner_product_constants_match_the_exact_data_oracle(N, M, exact):
     # production reads kappa to 2.2e-12 and lambda to 7.0e-10 in these cells
     # (N = 20, M = 40 and N = 60, M = 120), from its double G and R
     eps = 1e-5
-    frame, factor, system = _cell(N, 5, sampling.inner_product_scheme(M))
+    frame, system = _cell(N, 5, sampling.inner_product_scheme(M))
     rank, kappa, lam = exact or oracles.oracle_inner_product_constants(frame, M, eps)
     assert system.kept_rank(eps) == rank
-    assert diagnostics.compute_kappa(system, factor, eps) == pytest.approx(kappa, rel=3e-11, abs=0)
-    assert diagnostics.compute_lambda(system, factor, eps) == pytest.approx(lam, rel=1e-8, abs=0)
+    assert diagnostics.compute_kappa(system, eps) == pytest.approx(kappa, rel=3e-11, abs=0)
+    assert diagnostics.compute_lambda(system, eps) == pytest.approx(lam, rel=1e-8, abs=0)
 
 
 @pytest.mark.parametrize("M", [15, 19])
 def test_lambda_rejects_fewer_samples_than_elements(M):
     # the thin SVD misses the N - M null directions of G: at M = 15 (r = M)
     # it leaves lambda no columns, at M = 19 (r < M) a lambda 8.8e-8 too low
-    frame, factor, system = _cell(20, 5, sampling.legendre_point_scheme(M))
+    frame, system = _cell(20, 5, sampling.legendre_point_scheme(M))
     with pytest.raises(ValueError, match="M >= N"):
-        diagnostics.compute_lambda(system, factor, 1e-5)
+        diagnostics.compute_lambda(system, 1e-5)
 
 
 def test_dense_lambda_oracle_counts_the_null_directions():
-    frame, factor, system = _cell(20, 5, sampling.legendre_point_scheme(15))
+    frame, system = _cell(20, 5, sampling.legendre_point_scheme(15))
     assert system.kept_rank(1e-5) == 15
-    assert oracles.dense_lambda(system, factor, 1e-5) == pytest.approx(1.1577e4, rel=1e-4)
+    lam = oracles.dense_lambda(system, gram.build_gram_factor(frame), 1e-5)
+    assert lam == pytest.approx(1.1577e4, rel=1e-4)
 
 
 def test_constants_respect_all_upper_bounds():
@@ -159,9 +166,9 @@ def test_constants_respect_all_upper_bounds():
     for K, scheme_builder in ((5, sampling.legendre_point_scheme),
                               (5, sampling.equispaced_point_scheme)):
         for N, mult in ((10, 2), (20, 2), (10, 4)):
-            frame, factor, system = _cell(N, K, scheme_builder(mult * N))
-            kappa = diagnostics.compute_kappa(system, factor, eps)
-            lam = diagnostics.compute_lambda(system, factor, eps)
+            frame, system = _cell(N, K, scheme_builder(mult * N))
+            kappa = diagnostics.compute_kappa(system, eps)
+            lam = diagnostics.compute_lambda(system, eps)
             assert max(kappa, lam) <= np.sqrt(frame.B_upper) / eps
             a_prime = sampling.richness_estimate(system)
             cap = 1.0 / np.sqrt(a_prime)
@@ -170,9 +177,9 @@ def test_constants_respect_all_upper_bounds():
 
 def test_heavily_oversampled_constants_settle_near_one():
     # the asymptotic envelope for unit-richness schemes is 1/sqrt(A') = 1
-    frame, factor, system = _cell(10, 5, sampling.legendre_point_scheme(320))
-    kappa = diagnostics.compute_kappa(system, factor, 1e-5)
-    lam = diagnostics.compute_lambda(system, factor, 1e-5)
+    frame, system = _cell(10, 5, sampling.legendre_point_scheme(320))
+    kappa = diagnostics.compute_kappa(system, 1e-5)
+    lam = diagnostics.compute_lambda(system, 1e-5)
     assert kappa == pytest.approx(1.0134106773956857, rel=1e-6)
     assert lam == pytest.approx(0.3213673180534122, rel=1e-6)
     assert max(kappa, lam) < 1.2
@@ -180,18 +187,18 @@ def test_heavily_oversampled_constants_settle_near_one():
 
 def test_inner_product_constants_stay_below_eps_envelope():
     for N, M, eps in ((10, 10, 1e-5), (20, 40, 1e-8), (40, 40, 1e-5)):
-        frame, factor, system = _cell(N, 5, sampling.inner_product_scheme(M))
-        kappa = diagnostics.compute_kappa(system, factor, eps)
-        lam = diagnostics.compute_lambda(system, factor, eps)
+        frame, system = _cell(N, 5, sampling.inner_product_scheme(M))
+        kappa = diagnostics.compute_kappa(system, eps)
+        lam = diagnostics.compute_lambda(system, eps)
         assert max(kappa, lam) <= 1.0 / np.sqrt(eps)
 
 
 def test_diagnose_report_consistency():
-    frame, factor, system = _cell(12, 2, sampling.legendre_point_scheme(24))
+    frame, system = _cell(12, 2, sampling.legendre_point_scheme(24))
     eps = 1e-6
-    [report] = diagnostics.diagnose(system, factor, [eps])
-    assert report.kappa == pytest.approx(diagnostics.compute_kappa(system, factor, eps))
-    assert report.lam == pytest.approx(diagnostics.compute_lambda(system, factor, eps))
+    [report] = diagnostics.diagnose(system, [eps])
+    assert report.kappa == pytest.approx(diagnostics.compute_kappa(system, eps))
+    assert report.lam == pytest.approx(diagnostics.compute_lambda(system, eps))
     assert report.kept_rank == int(np.sum(system.singular_values > eps))
     assert report.sigma_max == system.singular_values[0]
     assert (report.M, report.N) == (24, 12)
@@ -200,8 +207,8 @@ def test_diagnose_report_consistency():
 
 
 def test_bound_violations_flag_breaches():
-    frame, factor, system = _cell(8, 1, sampling.legendre_point_scheme(16))
-    [clean] = diagnostics.diagnose(system, factor, [1e-5])
+    frame, system = _cell(8, 1, sampling.legendre_point_scheme(16))
+    [clean] = diagnostics.diagnose(system, [1e-5])
     broken = dataclasses.replace(clean, kappa=1e20)
     assert broken.bound_violations(frame, system.scheme)
 
@@ -224,7 +231,7 @@ def test_sweep_factors_each_frame_once(monkeypatch):
     # (here one stack per N); per (gamma, N) cell one sampling of the
     # residuals for A' and one product U* G for the Rayleigh quotients of
     # every cutoff's kappa
-    calls = {"build_gram_factor": 0, "_residual_samples": 0, "einsum": 0, "legendre_table": 0}
+    calls = {"_residual_samples": 0, "einsum": 0, "legendre_table": 0}
 
     def counting(module, name):
         real = getattr(module, name)
@@ -235,18 +242,19 @@ def test_sweep_factors_each_frame_once(monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    counting(diagnostics, "build_gram_factor")
     counting(sampling, "_residual_samples")
     counting(np, "einsum")
     for module in (frames, sampling):
         counting(module, "legendre_table")
+    gram.build_gram_factor.cache_clear()
     rows = diagnostics.constants_sweep(
         lambda n: frames.onb_plus_k(n, 2),
         sampling.legendre_points(),
         gammas=(1.0, 1.5, 2.0, 3.0), Ns=(5, 10), epsilons=(1e-5, 1e-8))
     assert len(rows) == 16
-    assert calls == {"build_gram_factor": 2, "_residual_samples": 8, "einsum": 8,
-                     "legendre_table": 2}
+    # builds, not lookups: a miss is a call that runs the build
+    assert gram.build_gram_factor.cache_info().misses == 2
+    assert calls == {"_residual_samples": 8, "einsum": 8, "legendre_table": 2}
 
 
 def _bits(report):
@@ -276,7 +284,7 @@ def test_sweep_equals_diagnose_of_each_cell_to_the_bit(scheme_family, cap, monke
             for N in Ns:
                 frame, M = family(N), max(N, int(np.ceil(gamma * N)))
                 system = gram.build_system(frame, scheme_family.realize(M))
-                reports = diagnostics.diagnose(system, gram.build_gram_factor(frame), epsilons)
+                reports = diagnostics.diagnose(system, epsilons)
                 expected += [(gamma, report) for report in reports]
         expected.sort(key=lambda row: (row[0], row[1].N, row[1].epsilon))
         assert [(g, _bits(r)) for g, r in rows] == [(g, _bits(r)) for g, r in expected], K
@@ -385,11 +393,10 @@ def test_ssr_respects_stride_grid():
 
 def _full_scan(frame, scheme_family, theta, epsilon, M_max):
     # every grid step through build_system, kappa and lambda, with no witness test
-    factor = gram.build_gram_factor(frame)
     for M in range(frame.N, M_max + 1, max(1, frame.N // 20)):
         system = gram.build_system(frame, scheme_family.realize(M))
-        if (diagnostics.compute_kappa(system, factor, epsilon) <= theta
-                and diagnostics.compute_lambda(system, factor, epsilon) <= theta):
+        if (diagnostics.compute_kappa(system, epsilon) <= theta
+                and diagnostics.compute_lambda(system, epsilon) <= theta):
             return M
     return None
 

@@ -1,5 +1,6 @@
 """Sampled Gram systems and the continuous Gram factor."""
 
+import dataclasses
 import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frameapprox import frames, gram, orthopoly, sampling
+from frameapprox import diagnostics, frames, gram, orthopoly, sampling, solver
 
 
 def test_pure_basis_inner_product_system_is_identity_block():
@@ -142,6 +143,27 @@ def test_from_matrix_rejects_non_matrix():
         gram.GramSystem.from_matrix(np.zeros(3))
 
 
+@pytest.mark.parametrize("use, missing", [
+    (lambda sol: sol(np.array([0.5])), "frame"),
+    (lambda sol: solver.verify_error_bound(sol, np.exp, np.zeros(3)), "frame and no scheme"),
+    (lambda sol: solver.verify_coefficient_bound(sol, np.exp, np.zeros(3)),
+     "frame and no scheme"),
+    (lambda sol: diagnostics.compute_kappa(sol.system, 0.5), "frame"),
+    (lambda sol: diagnostics.compute_lambda(sol.system, 0.5), "frame"),
+    (lambda sol: diagnostics.diagnose(sol.system, [0.5]), "frame"),
+    (lambda sol: sampling.richness_estimate(sol.system), "frame"),
+], ids=["call", "verify_error_bound", "verify_coefficient_bound", "compute_kappa",
+        "compute_lambda", "diagnose", "richness_estimate"])
+def test_a_bare_matrix_system_names_what_it_lacks(use, missing):
+    # the solve needs only the matrix; whatever evaluates the frame or
+    # samples by the scheme needs a system from build_system
+    system = gram.GramSystem.from_matrix(np.eye(3))
+    sol = solver.truncated_svd_solve(system, np.ones(3), 0.5)
+    assert sol.kept_rank == 3
+    with pytest.raises(ValueError, match=f"the system has no {missing}:"):
+        use(sol)
+
+
 def test_continuous_gram_column_closed_form():
     # first column holds the log moments (-1)^(m+1) sqrt(2m+1) / (sqrt2 m (m+1))
     frame = frames.onb_plus_k(60, 1)
@@ -247,7 +269,7 @@ def test_factor_reproduces_quadrature_gram(N):
     # the closed-form R against the quadrature H, an independent route to the Gram
     factor = gram.build_gram_factor(frames.onb_plus_k(N, 5))
     H, R = factor.matrix, factor.R
-    assert factor.N == N and R.shape == (N, N)
+    assert R.shape == (N, N)
     scale = np.linalg.norm(H, 2) ** 2
     assert np.abs(R.T @ R - H.T @ H).max() < 1e-13 * scale
 
@@ -406,6 +428,17 @@ def test_sqrt_ratio_on_both_sides_of_a_midpoint(y):
     assert gram._sqrt_ratio(p * scale + 1, q * scale) == up
 
 
+def test_shared_factor_cannot_be_changed():
+    # build_gram_factor's cache hands every caller the same object
+    factor = gram.build_gram_factor(frames.onb_plus_k(12, 3))
+    assert factor is gram.build_gram_factor(frames.onb_plus_k(12, 3))
+    assert factor.R.flags.writeable is False
+    with pytest.raises(ValueError):
+        factor.R[0, 0] = 2.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        factor.R = np.eye(12)
+
+
 def test_factor_keeps_no_array_larger_than_r():
     N = 200
     factor = gram.build_gram_factor(frames.onb_plus_k(N, 5))
@@ -416,6 +449,7 @@ def test_factor_keeps_no_array_larger_than_r():
 def test_factor_build_never_holds_the_whole_quadrature_factor():
     # H alone is 8692 x 200 doubles (13.9 MB) at N = 200
     frame = frames.onb_plus_k(200, 5)
+    gram.build_gram_factor.cache_clear()  # so that the call below builds
     tracemalloc.start()
     try:
         gram.build_gram_factor(frame)

@@ -1,4 +1,5 @@
-"""The package's imports: all at module level, and none of sampling by gram at run time."""
+"""The package's imports: all at module level, none of sampling by gram at run time, and
+none of solver by diagnostics."""
 
 import ast
 from pathlib import Path
@@ -8,11 +9,11 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src" / "frameapprox"
 
 
-def _imports_sampling(node):
+def _imports(node, module):
     names = [alias.name for alias in node.names]
     if isinstance(node, ast.ImportFrom):
         names.append(node.module or "")
-    return any(name.split(".")[-1] == "sampling" for name in names)
+    return any(name.split(".")[-1] == module for name in names)
 
 
 def _is_type_checking(node):
@@ -39,6 +40,17 @@ def test_gram_imports_sampling_only_for_type_checking():
         node.lineno
         for statement in tree.body if not _is_type_checking(statement)
         for node in ast.walk(statement)
-        if isinstance(node, (ast.Import, ast.ImportFrom)) and _imports_sampling(node)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and _imports(node, "sampling")
+    ]
+    assert found == []
+
+
+def test_diagnostics_never_imports_solver():
+    # solver's bound check reads kappa and lambda from diagnostics
+    tree = ast.parse((SRC / "diagnostics.py").read_text())
+    found = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and _imports(node, "solver")
     ]
     assert found == []

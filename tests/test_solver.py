@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frameapprox import diagnostics, frames, gram, sampling, solver
+from frameapprox import frames, gram, sampling, solver
 
 
 def _diag_system(entries):
@@ -151,26 +151,15 @@ def test_error_report_rejects_empty_probe_points():
             solver.error_report(approx, frames.target_function, probes)
 
 
-def _bound_ingredients(frame, scheme_family, M, eps):
-    factor = gram.build_gram_factor(frame)
-    approx = solver.approximate(frames.target_function, frame, scheme_family,
-                                M=M, epsilon=eps)
-    system = approx.system
-    kappa = diagnostics.compute_kappa(system, factor, eps)
-    lam = diagnostics.compute_lambda(system, factor, eps)
-    return approx, kappa, lam
-
-
 @pytest.mark.parametrize("family,M", [
     (sampling.legendre_points(), 24),
     (sampling.inner_products(), 24),
 ])
 def test_error_bound_holds_for_structured_z(family, M):
     frame = frames.onb_plus_k(12, 1)
-    approx, kappa, lam = _bound_ingredients(frame, family, M, 1e-6)
+    approx = solver.approximate(frames.target_function, frame, family, M=M, epsilon=1e-6)
     for z in (np.zeros(12), approx.coefficients):
-        check = solver.verify_error_bound(approx, frames.target_function, z,
-                                          kappa, lam)
+        check = solver.verify_error_bound(approx, frames.target_function, z)
         assert check.holds
         assert check.lhs <= check.rhs
 
@@ -181,7 +170,7 @@ def test_error_bound_holds_for_structured_z(family, M):
 ])
 def test_error_bound_evaluates_the_frame_once(family, samples, monkeypatch):
     frame = frames.onb_plus_k(12, 1)
-    approx, kappa, lam = _bound_ingredients(frame, family, 24, 1e-6)
+    approx = solver.approximate(frames.target_function, frame, family, M=24, epsilon=1e-6)
     calls = {"element_matrix": [], "synthesize": 0, "sample": 0}
 
     def counted_elements(original):
@@ -200,8 +189,7 @@ def test_error_bound_evaluates_the_frame_once(family, samples, monkeypatch):
         monkeypatch.setattr(module, "element_matrix", counted_elements(module.element_matrix))
         monkeypatch.setattr(module, "synthesize", counted("synthesize", module.synthesize))
     monkeypatch.setattr(solver, "sample", counted("sample", solver.sample))
-    check = solver.verify_error_bound(approx, frames.target_function, np.zeros(12),
-                                      kappa, lam)
+    check = solver.verify_error_bound(approx, frames.target_function, np.zeros(12))
     assert check.holds
     assert calls == {"element_matrix": [solver._verification_rule(12).size],
                      "synthesize": 0, "sample": samples}
@@ -210,12 +198,11 @@ def test_error_bound_evaluates_the_frame_once(family, samples, monkeypatch):
 def test_error_bound_holds_for_random_z():
     rng = np.random.default_rng(11)
     frame = frames.onb_plus_k(12, 1)
-    approx, kappa, lam = _bound_ingredients(
-        frame, sampling.legendre_points(), 24, 1e-6)
+    approx = solver.approximate(frames.target_function, frame, sampling.legendre_points(),
+                                M=24, epsilon=1e-6)
     for _ in range(20):
         z = rng.standard_normal(12) * 10.0 ** rng.integers(-2, 2)
-        check = solver.verify_error_bound(approx, frames.target_function, z,
-                                          kappa, lam)
+        check = solver.verify_error_bound(approx, frames.target_function, z)
         assert check.holds
         coeff = solver.verify_coefficient_bound(
             approx, frames.target_function, z)
@@ -224,7 +211,8 @@ def test_error_bound_holds_for_random_z():
 
 def test_coefficient_bound_with_zero_z_controls_norm():
     frame = frames.onb_plus_k(12, 1)
-    approx, _, _ = _bound_ingredients(frame, sampling.legendre_points(), 24, 1e-6)
+    approx = solver.approximate(frames.target_function, frame, sampling.legendre_points(),
+                                M=24, epsilon=1e-6)
     check = solver.verify_coefficient_bound(
         approx, frames.target_function, np.zeros(12))
     # with z = 0 the statement reads ||x|| <= ||f||_M / eps
