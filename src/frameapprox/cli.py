@@ -5,7 +5,8 @@ experiment runs one parameter sweep and writes a CSV file (comma delimiter,
 LF endings, 17 significant digits) that a generic plotter can consume.
 selftest runs seeded analytic checks and prints one pass/fail line per check.
 
-Exit codes: 0 success, 1 invalid configuration, 2 numerical failure.
+Exit codes: 0 success, 1 invalid configuration or out of memory, 2 numerical
+failure.
 """
 
 import argparse
@@ -14,7 +15,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -294,7 +295,7 @@ def _single_epsilon(cfg: ExperimentConfig) -> float:
     return cfg.epsilons[0]
 
 
-def run_pointwise_error(cfg: ExperimentConfig) -> Path:
+def run_pointwise_error(cfg: ExperimentConfig) -> Tuple[Sequence[str], List[tuple]]:
     """Pointwise error at probe points along an N sweep with M tied to N."""
     Ns = cfg.N_values
     rule = _parse_m_rule(cfg.M_rule)
@@ -309,12 +310,10 @@ def run_pointwise_error(cfg: ExperimentConfig) -> Path:
         report = solver.error_report(approx, frames.target_function, cfg.probes)
         for probe, err in zip(report.probes, report.errors):
             rows.append((N, M, probe, err, report.coefficient_norm))
-    path = cfg.out_path()
-    _write_csv(path, ("N", "M", "probe", "error", "coeff_norm"), rows)
-    return path
+    return ("N", "M", "probe", "error", "coeff_norm"), rows
 
 
-def run_oversampling(cfg: ExperimentConfig) -> Path:
+def run_oversampling(cfg: ExperimentConfig) -> Tuple[Sequence[str], List[tuple]]:
     """Error against M at fixed N; exposes the oversampling plateau."""
     Ns, Ms = cfg.N_values, cfg.M_values
     _require_sweep(Ns, "N")
@@ -330,9 +329,7 @@ def run_oversampling(cfg: ExperimentConfig) -> Path:
         approx = solver.approximate(frames.target_function, frame, family, M=M, epsilon=eps)
         report = solver.error_report(approx, frames.target_function, cfg.probes)
         rows.append((N, M, report.max_error, report.coefficient_norm))
-    path = cfg.out_path()
-    _write_csv(path, ("N", "M", "max_error", "coeff_norm"), rows)
-    return path
+    return ("N", "M", "max_error", "coeff_norm"), rows
 
 
 def _require_factor_k(cfg: ExperimentConfig) -> None:
@@ -340,7 +337,7 @@ def _require_factor_k(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"{cfg.experiment} takes K up to {MAX_FACTOR_K}, got {cfg.K}")
 
 
-def run_constants(cfg: ExperimentConfig) -> Path:
+def run_constants(cfg: ExperimentConfig) -> Tuple[Sequence[str], List[tuple]]:
     """Stability constants over a (gamma, N, epsilon) grid."""
     Ns = cfg.N_values
     N_max = _require_sweep(Ns, "N")
@@ -360,12 +357,10 @@ def run_constants(cfg: ExperimentConfig) -> Path:
         (gamma, r.N, r.M, r.epsilon, r.kappa, r.lam, r.kept_rank, r.A_prime_MN)
         for gamma, r in sweep
     ]
-    path = cfg.out_path()
-    _write_csv(path, ("gamma", "N", "M", "eps", "kappa", "lambda", "kept_rank", "A_prime"), rows)
-    return path
+    return ("gamma", "N", "M", "eps", "kappa", "lambda", "kept_rank", "A_prime"), rows
 
 
-def run_ssr(cfg: ExperimentConfig) -> Path:
+def run_ssr(cfg: ExperimentConfig) -> Tuple[Sequence[str], List[tuple]]:
     """Stable sampling rate along an N sweep; -1 marks an unreachable target."""
     Ns = cfg.N_values
     N_max = _require_sweep(Ns, "N")
@@ -380,13 +375,11 @@ def run_ssr(cfg: ExperimentConfig) -> Path:
         for eps in cfg.epsilons:
             theta_M = diagnostics.stable_sampling_rate(frame, family, cfg.theta, eps, M_max=M_max)
             rows.append((N, cfg.theta, eps, -1 if theta_M is None else theta_M))
-    path = cfg.out_path()
-    _write_csv(path, ("N", "theta", "eps", "M_theta"), rows)
-    return path
+    return ("N", "theta", "eps", "M_theta"), rows
 
 
-def run_single_approx(cfg: ExperimentConfig) -> Path:
-    """One approximation at fixed N and M; per-probe errors to CSV."""
+def run_single_approx(cfg: ExperimentConfig) -> Tuple[Sequence[str], List[tuple]]:
+    """One approximation at fixed N and M; per-probe errors to CSV, a summary to stdout."""
     Ns, Ms = cfg.N_values, cfg.M_values
     _require_sweep(Ns, "N")
     _require_sweep(Ms, "M")
@@ -398,14 +391,11 @@ def run_single_approx(cfg: ExperimentConfig) -> Path:
         frames.target_function, cfg.frame_for(N), cfg.scheme_family(), M=M, epsilon=eps
     )
     report = solver.error_report(approx, frames.target_function, cfg.probes)
-    rows = list(zip(report.probes, report.errors))
-    path = cfg.out_path()
-    _write_csv(path, ("probe", "error"), rows)
     print(
         f"N={N} M={M} eps={eps:g} kept_rank={approx.kept_rank} "
         f"max_error={report.max_error:.6e} coeff_norm={report.coefficient_norm:.6e}"
     )
-    return path
+    return ("probe", "error"), list(zip(report.probes, report.errors))
 
 
 # ---------------------------------------------------------------------------
@@ -572,12 +562,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         cfg = _build_config(args)
         if cfg.experiment == "selftest":
             return run_selftest(cfg)
-        _check_writable(cfg.out_path())
-        path = _RUNNERS[cfg.experiment](cfg)
+        path = cfg.out_path()
+        _check_writable(path)
+        header, rows = _RUNNERS[cfg.experiment](cfg)
+        _write_csv(path, header, rows)
         print(f"wrote {path}")
         return 0
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        # a step below the size cap can still ask for more than the machine
+        # has: numpy's Gauss-Legendre rule forms an M x M matrix
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
     except np.linalg.LinAlgError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

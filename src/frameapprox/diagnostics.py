@@ -94,9 +94,10 @@ delta makes the test imply that the full route, in floating point, would
 fail the step too, so M_theta is unchanged by construction.  The chunk
 that holds M_theta is built whole, so a search evaluates at most the rest
 of it past M_theta: fewer than _CHUNK_VALUES / N^2 steps, each sampled but
-given no SVD, and none once every chunk is a single step (N >= 90 at
-the default stride).  For Legendre points those steps' rules enter the
-cache of _gauss_legendre_cached on the first search and are hits after.
+given no SVD, and none once every chunk is a single step (N >= 90 on
+the grid M = N, N + s, ... with s = max(1, N // 20)).  For Legendre
+points those steps' rules enter the cache of _gauss_legendre_cached on
+the first search and are hits after.
 
 With u = 2^-52, numpy's machine epsilon, and
 
@@ -161,9 +162,6 @@ __all__ = [
     "constants_sweep",
 ]
 
-# relative tolerance of DiagnosticsReport.bound_violations on each a-priori cap
-_BOUND_REL_SLACK = 1e-9
-
 # stacked matrix values per chunk of stable_sampling_rate's grid steps
 # (128 KiB of doubles); a step larger than this is a chunk of its own
 _CHUNK_VALUES = 2**14
@@ -218,23 +216,7 @@ class DiagnosticsReport:
     kappa: float
     lam: float
     kept_rank: int
-    sigma_max: float
-    sigma_min: float
     A_prime_MN: float
-
-    def bound_violations(self, frame: FrameSpec, scheme: SamplingScheme) -> List[str]:
-        """Check the a-priori bounds; returns one message per violation."""
-        caps = [("sqrt(B)/eps", math.sqrt(frame.B_upper) / self.epsilon)]
-        if scheme.nodes is None:  # inner products
-            caps.append(("1/sqrt(eps)", 1.0 / math.sqrt(self.epsilon)))
-        if self.A_prime_MN > 0:
-            caps.append(("1/sqrt(A'_MN)", 1.0 / math.sqrt(self.A_prime_MN)))
-        return [
-            f"{name} = {value:.6g} exceeds {label} = {cap:.6g}"
-            for label, cap in caps
-            for name, value in (("kappa", self.kappa), ("lambda", self.lam))
-            if value > cap * (1.0 + _BOUND_REL_SLACK)
-        ]
 
 
 @one_blas_thread
@@ -249,7 +231,6 @@ def diagnose(system: GramSystem, epsilons: Sequence[float]) -> List[DiagnosticsR
 def _reports(system: GramSystem, epsilons: Sequence[float], a_prime: float
              ) -> List[DiagnosticsReport]:
     """diagnose's reports, given the system's A'_{M,N}."""
-    s = system.singular_values
     return [
         DiagnosticsReport(
             M=system.M,
@@ -258,8 +239,6 @@ def _reports(system: GramSystem, epsilons: Sequence[float], a_prime: float
             kappa=compute_kappa(system, eps),
             lam=compute_lambda(system, eps),
             kept_rank=system.kept_rank(eps),
-            sigma_max=float(s[0]),
-            sigma_min=float(s[-1]),
             A_prime_MN=a_prime,
         )
         for eps in epsilons
@@ -273,15 +252,14 @@ def stable_sampling_rate(
     theta: float,
     epsilon: float,
     M_max: Optional[int] = None,
-    stride: Optional[int] = None,
 ) -> Optional[int]:
     """Smallest M >= frame.N on the search grid with max(kappa, lambda) <= theta.
 
-    The grid M = N, N + stride, ..., M_max is scanned in chunks of
-    consecutive steps, each holding at most _CHUNK_VALUES stacked matrix
-    values or a single step (module docstring).  Returns None when the grid
-    is exhausted without a hit; raises ValueError for a theta not above 1,
-    a stride below 1 or an M_max below frame.N.
+    The grid M = N, N + s, ..., M_max with s = max(1, N // 20) is scanned in
+    chunks of consecutive steps, each holding at most _CHUNK_VALUES stacked
+    matrix values or a single step (module docstring).  Returns None when
+    the grid is exhausted without a hit; raises ValueError for a theta not
+    above 1 or an M_max below frame.N.
     """
     if not theta > 1.0:  # also rejects nan
         raise ValueError("theta must be > 1")
@@ -289,17 +267,13 @@ def stable_sampling_rate(
     N = frame.N
     if M_max is None:
         M_max = 64 * N
-    if stride is None:
-        stride = max(1, N // 20)
-    if stride < 1:
-        raise ValueError(f"stride must be at least 1, got {stride}")
     if M_max < N:
         raise ValueError(f"M_max must be at least frame.N = {N}, got {M_max}")
 
     R = build_gram_factor(frame).R
     R_norm = np.linalg.norm(R)
     witnesses = None
-    for chunk in _stacks(range(N, M_max + 1, stride), N):
+    for chunk in _stacks(range(N, M_max + 1, max(1, N // 20)), N):
         G, schemes, _ = _stacked_matrix(frame, scheme_family, chunk)
         Ms = np.array(chunk)
         starts = np.cumsum(Ms) - Ms

@@ -235,6 +235,21 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
+def test_out_of_memory_exits_one_with_an_error_line(tmp_path):
+    # M N = 2e5 is far inside the cap, but numpy's Gauss-Legendre rule asks
+    # for an M x M companion matrix of 74.5 GiB
+    argv = ["oversampling", "--frame", "onb", "--nodes", "legendre", "--N", "2",
+            "--M", "100000", "--out", str(tmp_path / "x.csv")]
+    proc = subprocess.run(
+        [sys.executable, "-m", "frameapprox.cli", *argv],
+        capture_output=True, text=True, preexec_fn=_limit_address_space,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_second_main_call_builds_no_parser(tmp_path, monkeypatch):
     argv = ["pointwise_error", "--N", "5", "--out", str(tmp_path / "x.csv")]
     assert cli.main(argv) == 0
