@@ -15,11 +15,13 @@ done
 python -m frameapprox.cli selftest --seed 0 > "$out/selftest.txt"
 # no preset reaches N = 100 or 200, where the Gram factor's tail Gram is
 # most ill conditioned and the search takes the most steps, nor an
-# inner-product system at N = 60; the file names date from when these runs
-# covered the Gram factor's node blocks, and stay so that outputs of older
-# commits compare by name
+# inner-product system at N = 60; at eps = 1e-8 one power step proves
+# kappa > theta at most of those steps (M_theta up to 650), so the
+# compares below also cover large searches that are mostly certified; the
+# file names date from when these runs covered the Gram factor's node
+# blocks, and stay so that outputs of older commits compare by name
 python -m frameapprox.cli ssr --K 5 --nodes legendre --theta 2 --N 100:100:200 \
-  --eps 1e-5 --out "$out/ssr_node_blocks.csv"
+  --eps 1e-5,1e-8 --out "$out/ssr_node_blocks.csv"
 python -m frameapprox.cli constants --K 5 --nodes inner --N 60 --gammas 1,2 \
   --eps 1e-5 --out "$out/constants_node_blocks.csv"
 # searches in which the witness test rules out most steps

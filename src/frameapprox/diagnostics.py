@@ -138,6 +138,36 @@ of the squares and of the square root, the norm of a segment of G z is
 within a relative (M / 2 + 1) u, below x, and stays one of the 5 factors
 above.  ||G||_F enters only x, where its rounding moves delta at second
 order.
+
+A step that takes the full route forms X = R V_r D^-1 once
+(_kappa_matrix, the matrix whose 2-norm compute_kappa returns), and one
+power step on X proves most failing steps' kappa > theta before its SVD.
+With x_j the column of X of largest norm and v = X* x_j, ||X v|| / ||v||
+lies between ||x_j|| (since v_j = ||x_j||^2) and ||X||_2, so
+
+    ||X v|| > theta (1 + 8 x') ||v||,   x' = (N + r) sqrt(N) u,
+
+proves ||X||_2 > theta.  Otherwise the step takes the SVD of the same X
+for kappa, and lambda if kappa passes.  The margin makes the test imply
+that the full route, in floating point, fails the step too, so M_theta is
+unchanged by construction.  Both read the same computed X, so its own
+rounding does not enter; with s = ||X||_2 of that X,
+
+- X v is computed within r u || |X| ||_2 ||v|| <= r sqrt(r) u s ||v||,
+  at most x' s ||v||: 1 factor;
+- the norms of X v and of v, sums of N and r squares: 2;
+- theta (1 + 8 x') ||v||, three roundings of u <= x' / 2 each: 1.5;
+- LAPACK's largest singular value of X, taken within a relative
+  p(N, r) u <= x' of s, as the SVD of G is above: 1.
+
+That is 5.5 factors, so a test that fires puts the full route's kappa
+above theta (1 + 2.5 x') to first order, and the second-order terms stay
+below 2.5 x' while x' < 1e-3, that is for every N < 10^8.  8 x' is 3e-14
+at N = 20 and 1e-11 at N = 200.  At Legendre points with K = 5 and
+theta = 2, a search takes 2 singular-value-only SVDs at eps = 1e-8,
+N = 40 (17 without the power step), 3 at eps = 1e-8, N = 60 (32) and 2 at
+eps = 1e-5, N = 200 (4): kappa's and lambda's at M_theta, and at most one
+more.  The steps that the witnesses leave are mostly certified.
 """
 
 from __future__ import annotations
@@ -182,13 +212,34 @@ def compute_kappa(system: GramSystem, epsilon: float) -> float:
     """
     _check_epsilon(epsilon)
     _require(system, "frame")
+    return _norm_2(_kappa_matrix(system, epsilon))
+
+
+def _kappa_matrix(system: GramSystem, epsilon: float) -> np.ndarray:
+    """R V_r D^-1, whose 2-norm is kappa; N x 0 when no direction is kept."""
     R = build_gram_factor(system.frame).R
     r = system.kept_rank(epsilon)
+    return R @ (system.Vt[:r].T / system.rayleigh_quotients[:r])
+
+
+def _norm_2(X: np.ndarray) -> float:
+    """The largest singular value, equal to np.linalg.norm(X, 2) to the bit; 0 without columns."""
+    return float(np.linalg.svd(X, compute_uv=False)[0]) if X.shape[1] else 0.0
+
+
+def _kappa_certified(X: np.ndarray, theta: float) -> bool:
+    """Whether one power step on X proves that _norm_2(X) exceeds theta.
+
+    The step starts from the column x_j of X with the largest norm: with
+    v = X* x_j, ||X v|| / ||v|| <= ||X||_2, and the test holds with the
+    margin 1 + 8 x' of the module docstring.
+    """
+    N, r = X.shape
     if r == 0:
-        return 0.0
-    X = R @ (system.Vt[:r].T / system.rayleigh_quotients[:r])
-    # the largest singular value, equal to np.linalg.norm(X, 2) to the bit
-    return float(np.linalg.svd(X, compute_uv=False)[0])
+        return False
+    v = X.T @ X[:, np.argmax(np.einsum("ij,ij->j", X, X))]
+    x = (N + r) * math.sqrt(N) * np.finfo(float).eps
+    return bool(np.linalg.norm(X @ v) > theta * (1.0 + 8.0 * x) * np.linalg.norm(v))
 
 
 @one_blas_thread
@@ -199,11 +250,7 @@ def compute_lambda(system: GramSystem, epsilon: float) -> float:
     R = build_gram_factor(system.frame).R
     if system.M < system.N:
         raise ValueError("lambda requires M >= N: the thin SVD misses the null space of G")
-    r = system.kept_rank(epsilon)
-    if r == system.N:
-        return 0.0
-    X = R @ system.Vt[r:].T
-    return float(np.linalg.svd(X, compute_uv=False)[0]) / epsilon
+    return _norm_2(R @ system.Vt[system.kept_rank(epsilon):].T) / epsilon
 
 
 @dataclass
@@ -291,9 +338,11 @@ def stable_sampling_rate(
             M = int(Ms[step])
             system = GramSystem.from_matrix(G[starts[step]:starts[step] + M], frame=frame,
                                             scheme=schemes[step])
-            # lambda cannot rescue a step that kappa alone fails, so it is
-            # only computed when kappa passes
-            if (compute_kappa(system, epsilon) <= theta
+            # one power step proves most failing steps' kappa above theta
+            # without its SVD; lambda cannot rescue a step that kappa alone
+            # fails, so it is only computed when kappa passes
+            X = _kappa_matrix(system, epsilon)
+            if (not _kappa_certified(X, theta) and _norm_2(X) <= theta
                     and compute_lambda(system, epsilon) <= theta):
                 return M
             r = system.kept_rank(epsilon)

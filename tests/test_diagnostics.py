@@ -424,6 +424,58 @@ def test_ssr_matches_the_full_scan(scheme_family):
                     assert found == expected, (N, K, eps, theta)
 
 
+@pytest.mark.parametrize("N,eps", [(40, 1e-5), (40, 1e-8), (60, 1e-5), (60, 1e-8)])
+def test_ssr_matches_the_full_scan_where_the_power_step_certifies(N, eps):
+    # Legendre points with K = 5, where most full-route steps are failed by
+    # one power step on R V_r D^-1 without kappa's SVD
+    frame, family = frames.onb_plus_k(N, 5), sampling.legendre_points()
+    expected = _full_scan(frame, family, 2.0, eps, 64 * N)
+    assert diagnostics.stable_sampling_rate(frame, family, 2.0, eps) == expected
+
+
+def test_ssr_takes_the_svds_of_kappa_and_lambda_at_the_hit_only(monkeypatch):
+    # the scan of one step at a time with no certificate took 17 here
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        if kwargs.get("compute_uv") is False:
+            calls.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    frame = frames.onb_plus_k(40, 5)
+    assert diagnostics.stable_sampling_rate(
+        frame, sampling.legendre_points(), 2.0, 1e-8) == 170
+    assert len(calls) <= 2
+
+
+@pytest.mark.parametrize("N,r", [(1, 1), (12, 5), (200, 196)])
+def test_kappa_certificate_keeps_its_margin(N, r):
+    # columns of theta I with permuted rows and signs: every singular value
+    # is theta, and one power step reads it exactly
+    theta = 2.0
+    rng = np.random.default_rng(N)
+    Q = np.eye(N)[rng.permutation(N)][:, :r] * rng.choice([-1.0, 1.0], r)
+    eta = 8 * (N + r) * np.sqrt(N) * np.finfo(float).eps
+    assert diagnostics._norm_2(theta * Q) == theta
+    assert not diagnostics._kappa_certified(theta * Q, theta)
+    assert not diagnostics._kappa_certified(theta * (1 + eta / 2) * Q, theta)
+    assert diagnostics._kappa_certified(theta * (1 + 2 * eta) * Q, theta)
+    assert not diagnostics._kappa_certified(np.zeros((N, 0)), theta)
+
+
+def test_ssr_legendre_rate_drops_with_one_more_truncated_direction():
+    # K = 5, eps = 1e-5: Theta / N is about 3 up to N = 70 and about 1.8
+    # from N = 90, and N - r at M_theta goes from 3 to 4 between them
+    family = sampling.legendre_points()
+    for N, rate, truncated in ((70, 217, 3), (80, 168, 4)):
+        frame = frames.onb_plus_k(N, 5)
+        assert diagnostics.stable_sampling_rate(frame, family, 2.0, 1e-5) == rate
+        system = gram.build_system(frame, family.realize(rate))
+        assert N - system.kept_rank(1e-5) == truncated
+
+
 def test_ssr_skips_most_svds_of_failing_steps(monkeypatch):
     # 66 grid steps (M = 40, 42, ..., 170); the witnesses rule out most of them
     calls = []
