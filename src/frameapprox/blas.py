@@ -15,7 +15,7 @@ it; if the count was 0, the entry reads the environment, saves the
 current thread count and sets it to 1.  That entry's exit, also by an
 exception, takes the thread off the count, and the exit that brings it
 back to 0 restores the saved thread count.  An entry nested in another
-on the same Python thread (stable_sampling_rate calling compute_kappa)
+on the same Python thread (stable_sampling_rate calling compute_lambda)
 passes straight through: the outer entry holds the pin until it exits.
 While any entry is open, numpy calls on every thread run on one BLAS
 thread.  A count exported in OPENBLAS_NUM_THREADS or OMP_NUM_THREADS wins:

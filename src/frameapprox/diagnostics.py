@@ -139,9 +139,10 @@ within a relative (M / 2 + 1) u, below x, and stays one of the 5 factors
 above.  ||G||_F enters only x, where its rounding moves delta at second
 order.
 
-A step that takes the full route forms X = R V_r D^-1 once
-(_kappa_matrix, the matrix whose 2-norm compute_kappa returns), and one
-power step on X proves most failing steps' kappa > theta before its SVD.
+A step that takes the full route forms X = R V_r D^-1 (_kappa_matrix,
+the matrix whose 2-norm compute_kappa returns), and one power step on X
+proves most failing steps' kappa > theta before its SVD
+(_norm_2_exceeds).
 With x_j the column of X of largest norm and v = X* x_j, ||X v|| / ||v||
 lies between ||x_j|| (since v_j = ||x_j||^2) and ||X||_2, so
 
@@ -227,19 +228,20 @@ def _norm_2(X: np.ndarray) -> float:
     return float(np.linalg.svd(X, compute_uv=False)[0]) if X.shape[1] else 0.0
 
 
-def _kappa_certified(X: np.ndarray, theta: float) -> bool:
-    """Whether one power step on X proves that _norm_2(X) exceeds theta.
+def _norm_2_exceeds(X: np.ndarray, theta: float) -> bool:
+    """Whether _norm_2(X) > theta, without the SVD where one power step proves it.
 
     The step starts from the column x_j of X with the largest norm: with
-    v = X* x_j, ||X v|| / ||v|| <= ||X||_2, and the test holds with the
-    margin 1 + 8 x' of the module docstring.
+    v = X* x_j, ||X v|| / ||v|| <= ||X||_2, and a ratio above theta by the
+    margin 1 + 8 x' of the module docstring decides.
     """
     N, r = X.shape
-    if r == 0:
-        return False
-    v = X.T @ X[:, np.argmax(np.einsum("ij,ij->j", X, X))]
-    x = (N + r) * math.sqrt(N) * np.finfo(float).eps
-    return bool(np.linalg.norm(X @ v) > theta * (1.0 + 8.0 * x) * np.linalg.norm(v))
+    if r:
+        v = X.T @ X[:, np.argmax(np.einsum("ij,ij->j", X, X))]
+        x = (N + r) * math.sqrt(N) * np.finfo(float).eps
+        if np.linalg.norm(X @ v) > theta * (1.0 + 8.0 * x) * np.linalg.norm(v):
+            return True
+    return _norm_2(X) > theta
 
 
 @one_blas_thread
@@ -341,8 +343,7 @@ def stable_sampling_rate(
             # one power step proves most failing steps' kappa above theta
             # without its SVD; lambda cannot rescue a step that kappa alone
             # fails, so it is only computed when kappa passes
-            X = _kappa_matrix(system, epsilon)
-            if (not _kappa_certified(X, theta) and _norm_2(X) <= theta
+            if (not _norm_2_exceeds(_kappa_matrix(system, epsilon), theta)
                     and compute_lambda(system, epsilon) <= theta):
                 return M
             r = system.kept_rank(epsilon)

@@ -451,18 +451,28 @@ def test_ssr_takes_the_svds_of_kappa_and_lambda_at_the_hit_only(monkeypatch):
 
 
 @pytest.mark.parametrize("N,r", [(1, 1), (12, 5), (200, 196)])
-def test_kappa_certificate_keeps_its_margin(N, r):
+def test_kappa_power_step_decides_only_beyond_its_margin(N, r, monkeypatch):
     # columns of theta I with permuted rows and signs: every singular value
     # is theta, and one power step reads it exactly
     theta = 2.0
     rng = np.random.default_rng(N)
     Q = np.eye(N)[rng.permutation(N)][:, :r] * rng.choice([-1.0, 1.0], r)
     eta = 8 * (N + r) * np.sqrt(N) * np.finfo(float).eps
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
     assert diagnostics._norm_2(theta * Q) == theta
-    assert not diagnostics._kappa_certified(theta * Q, theta)
-    assert not diagnostics._kappa_certified(theta * (1 + eta / 2) * Q, theta)
-    assert diagnostics._kappa_certified(theta * (1 + 2 * eta) * Q, theta)
-    assert not diagnostics._kappa_certified(np.zeros((N, 0)), theta)
+    # within the margin the SVD decides, beyond it the power step alone
+    for scale, exceeds, svds in ((1, False, 1), (1 + eta / 2, True, 1), (1 + 2 * eta, True, 0)):
+        calls.clear()
+        assert diagnostics._norm_2_exceeds(theta * scale * Q, theta) == exceeds
+        assert len(calls) == svds, scale
+    assert not diagnostics._norm_2_exceeds(np.zeros((N, 0)), theta)
 
 
 def test_ssr_legendre_rate_drops_with_one_more_truncated_direction():
