@@ -163,7 +163,7 @@ rounding does not enter; with s = ||X||_2 of that X,
 
 That is 5.5 factors, so a test that fires puts the full route's kappa
 above theta (1 + 2.5 x') to first order, and the second-order terms stay
-below 2.5 x' while x' < 1e-3, that is for every N < 10^8.  8 x' is 3e-14
+below 2.5 x' while x' < 1e-3, that is for every N < 10^8.  8 x' is 3e-13
 at N = 20 and 1e-11 at N = 200.  At Legendre points with K = 5 and
 theta = 2, a search takes 2 singular-value-only SVDs at eps = 1e-8,
 N = 40 (17 without the power step), 3 at eps = 1e-8, N = 60 (32) and 2 at
