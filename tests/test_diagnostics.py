@@ -433,23 +433,6 @@ def test_ssr_matches_the_full_scan_where_the_power_step_certifies(N, eps):
     assert diagnostics.stable_sampling_rate(frame, family, 2.0, eps) == expected
 
 
-def test_ssr_takes_the_svds_of_kappa_and_lambda_at_the_hit_only(monkeypatch):
-    # the scan of one step at a time with no certificate took 17 here
-    calls = []
-    svd = np.linalg.svd
-
-    def counting(a, *args, **kwargs):
-        if kwargs.get("compute_uv") is False:
-            calls.append(a.shape)
-        return svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counting)
-    frame = frames.onb_plus_k(40, 5)
-    assert diagnostics.stable_sampling_rate(
-        frame, sampling.legendre_points(), 2.0, 1e-8) == 170
-    assert len(calls) <= 2
-
-
 @pytest.mark.parametrize("N,r", [(1, 1), (12, 5), (200, 196)])
 def test_kappa_power_step_decides_only_beyond_its_margin(N, r, monkeypatch):
     # columns of theta I with permuted rows and signs: every singular value
@@ -487,20 +470,31 @@ def test_ssr_legendre_rate_drops_with_one_more_truncated_direction():
 
 
 def test_ssr_skips_most_svds_of_failing_steps(monkeypatch):
-    # 66 grid steps (M = 40, 42, ..., 170); the witnesses rule out most of them
-    calls = []
+    # 66 grid steps (M = 40, 42, ..., 170); the witnesses rule out most of
+    # them, and one power step fails the rest without kappa's SVD, so only
+    # kappa's and lambda's at M_theta remain of the 17 singular-value-only
+    # SVDs a search without the power step takes
+    calls, norm_svds = [], []
     from_matrix = gram.GramSystem.from_matrix.__func__
+    svd = np.linalg.svd
 
     def counting(cls, matrix, *args, **kwargs):
         calls.append(matrix.shape[0])
         return from_matrix(cls, matrix, *args, **kwargs)
 
+    def counting_norms(a, *args, **kwargs):
+        if kwargs.get("compute_uv") is False:
+            norm_svds.append(a.shape)
+        return svd(a, *args, **kwargs)
+
     monkeypatch.setattr(gram.GramSystem, "from_matrix", classmethod(counting))
+    monkeypatch.setattr(np.linalg, "svd", counting_norms)
     frame = frames.onb_plus_k(40, 5)
     assert diagnostics.stable_sampling_rate(
         frame, sampling.legendre_points(), 2.0, 1e-8) == 170
     assert calls[0] == 40 and calls[-1] == 170
     assert len(calls) < 66 / 2
+    assert len(norm_svds) <= 2
 
 
 def _record_scan(monkeypatch):
