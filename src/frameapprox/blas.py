@@ -9,14 +9,14 @@ whose work includes an SVD or a product over a sampled system, so library
 calls and CLI runs share this one pin.
 
 numpy's OpenBLAS thread count belongs to the process, not to a Python
-thread, so the pin is process-wide too: a count of the Python threads
-with an entry open, kept under a lock.  A thread's first entry adds to
-it; if the count was 0, the entry reads the environment, saves the
-current thread count and sets it to 1.  That entry's exit, also by an
-exception, takes the thread off the count, and the exit that brings it
-back to 0 restores the saved thread count.  An entry nested in another
-on the same Python thread (stable_sampling_rate calling compute_lambda)
-passes straight through: the outer entry holds the pin until it exits.
+thread, so the pin is process-wide too: a count of the open entries of
+every Python thread, kept under a lock.  Every entry adds to it, nested
+ones too (stable_sampling_rate calling compute_lambda); if the count was
+0, the entry reads the environment, saves the current thread count and
+sets it to 1.  Every exit, also by an exception, takes its entry off the
+count, and the exit that brings it back to 0 restores the saved thread
+count.  So the first entry to open pins and the last to close restores,
+however the entries of one thread nest or those of several interleave.
 While any entry is open, numpy calls on every thread run on one BLAS
 thread.  A count exported in OPENBLAS_NUM_THREADS or OMP_NUM_THREADS wins:
 the entry that would pin then leaves the BLAS alone.  So does any BLAS
@@ -37,13 +37,11 @@ __all__ = ["THREAD_VARS", "one_blas_thread", "openblas_thread_calls"]
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 _lock = threading.Lock()
-# the Python threads with an entry open, and what the exit of the last one
-# restores: (set, count) saved by the entry that pinned, or None if it
+# the entries open on every Python thread, and what the exit of the last
+# one restores: (set, count) saved by the entry that pinned, or None if it
 # pinned nothing
-_open_threads = 0
+_open_entries = 0
 _restore = None
-# .entry: whether this Python thread has an entry open
-_this_thread = threading.local()
 
 
 @functools.cache
@@ -99,33 +97,19 @@ def one_blas_thread(fn):
 
     @functools.wraps(fn)
     def pinned(*args, **kwargs):
-        # nested in an entry of this thread, whose pin holds until it exits
-        if getattr(_this_thread, "entry", False):
-            return fn(*args, **kwargs)
-        _enter()
-        _this_thread.entry = True
+        global _open_entries, _restore
+        with _lock:
+            if _open_entries == 0:
+                _restore = _pin()
+            _open_entries += 1
         try:
             return fn(*args, **kwargs)
         finally:
-            _this_thread.entry = False
-            _exit()
+            with _lock:
+                _open_entries -= 1
+                if _open_entries == 0 and _restore is not None:
+                    set_, previous = _restore
+                    _restore = None
+                    set_(previous)
 
     return pinned
-
-
-def _enter():
-    global _open_threads, _restore
-    with _lock:
-        if _open_threads == 0:
-            _restore = _pin()
-        _open_threads += 1
-
-
-def _exit():
-    global _open_threads, _restore
-    with _lock:
-        _open_threads -= 1
-        if _open_threads == 0 and _restore is not None:
-            set_, previous = _restore
-            _restore = None
-            set_(previous)

@@ -81,15 +81,19 @@ scales are those of its steps, concatenated, or row prefixes of the
 inner-product matrix of the chunk's largest M.  Every entry is formed
 elementwise, so each step's block is its G to the bit, and each step's
 scheme is realized once.
-One witness test covers all remaining steps of the chunk at once: a step
-fails without an SVD when, for some witness z,
 
-    ||R z|| > theta (1 + delta) (||G z|| + eps ||z||),
+A step fails without an SVD when, for some witness z,
 
-with ||G||_F and ||G z|| summed over the step's own segment of rows.  The
-scan jumps to the first step not ruled out, which takes the full route
-on its rows of the chunk: the SVD, kappa, lambda if kappa passes, and
-new witnesses, tested against the rest of the chunk.  The margin
+    ||R z|| > theta (1 + delta) (||G z|| + eps ||z||).
+
+The margin theta (1 + delta) depends on the step alone, through its M
+and its ||G||_F (below), so the chunk's margins are computed once, with
+||G||_F summed over each step's own segment of rows, and ||R z|| and
+eps ||z|| once per witness.  One witness test then covers all remaining
+steps of the chunk at once, with ||G z|| summed over the same segments.
+The scan jumps to the first step not ruled out, which takes the full
+route on its rows of the chunk: the SVD, kappa, lambda if kappa passes,
+and new witnesses, tested against the rest of the chunk.  The margin
 delta makes the test imply that the full route, in floating point, would
 fail the step too, so M_theta is unchanged by construction.  The chunk
 that holds M_theta is built whole, so a search evaluates at most the rest
@@ -321,19 +325,25 @@ def stable_sampling_rate(
 
     R = build_gram_factor(frame).R
     R_norm = np.linalg.norm(R)
-    witnesses = None
+    Z = None  # the witnesses as columns, once a step has taken the full route
     for chunk in _stacks(range(N, M_max + 1, max(1, N // 20)), N):
         G, schemes, _ = _stacked_matrix(frame, scheme_family, chunk)
         Ms = np.array(chunk)
         starts = np.cumsum(Ms) - Ms
-        # each step's ||G||_F, which no witness changes
+        # each step's ||G||_F and witness margin theta (1 + delta), which no
+        # witness changes
         G_norms = np.sqrt(np.add.reduceat(np.einsum("ij,ij->i", G, G), starts))
+        x = (Ms + N) * math.sqrt(N) * np.finfo(float).eps * (1.0 + (G_norms + R_norm) / epsilon)
+        margins = theta * (1.0 + x) ** 16
         step = 0
         while step < Ms.size:
-            if witnesses is not None:
-                open_steps = np.flatnonzero(~_ruled_out(
-                    G[starts[step]:], starts[step:] - starts[step], Ms[step:], G_norms[step:],
-                    R_norm, witnesses, theta, epsilon))
+            if Z is not None:
+                # ||G z|| per step's segment of rows, for the steps left
+                GZ_norms = np.sqrt(np.add.reduceat(np.square(G[starts[step]:] @ Z),
+                                                   starts[step:] - starts[step]))
+                ruled_out = np.any(RZ_norms > margins[step:, None] * (GZ_norms + eps_Z_norms),
+                                   axis=1)
+                open_steps = np.flatnonzero(~ruled_out)
                 if open_steps.size == 0:
                     break
                 step += int(open_steps[0])
@@ -349,8 +359,8 @@ def stable_sampling_rate(
             r = system.kept_rank(epsilon)
             Z = system.Vt[max(r - 1, 0):r + 1].T
             # ||R z|| and eps ||z|| hold until the witnesses are refreshed
-            witnesses = (Z, np.linalg.norm(R @ Z, axis=0),
-                         epsilon * np.linalg.norm(Z, axis=0))
+            RZ_norms = np.linalg.norm(R @ Z, axis=0)
+            eps_Z_norms = epsilon * np.linalg.norm(Z, axis=0)
             step += 1
     return None
 
@@ -400,29 +410,6 @@ def _stacked_matrix(
         return _system_matrix(frame, stacked), schemes, None
     table = _node_table(frame, stacked.nodes, degree)
     return _system_matrix(frame, stacked, table), schemes, table
-
-
-def _ruled_out(
-    G: np.ndarray, starts: np.ndarray, Ms: np.ndarray, G_norms: np.ndarray, R_norm: float,
-    witnesses: Tuple[np.ndarray, np.ndarray, np.ndarray], theta: float, epsilon: float,
-) -> np.ndarray:
-    """For each step stacked in G, whether a witness rules it out.
-
-    G stacks the steps' matrices by rows, Ms[i] rows for step i from row
-    starts[i], and G_norms[i] is that step's ||G||_F.  A step is ruled out
-    when a witness z has ||R z|| > theta (1 + delta)(||G z|| + eps ||z||)
-    on its rows, which proves max(kappa, lambda) > theta for it, with the
-    margin delta of the module docstring; the norms are summed per segment
-    of rows.  R_norm is ||R||_F; witnesses holds the z as columns of Z with
-    their ||R z|| and eps ||z||.
-    """
-    Z, R_norms, eps_norms = witnesses
-    N = G.shape[1]
-    GZ_norms = np.sqrt(np.add.reduceat(np.square(G @ Z), starts))
-    x = ((Ms + N) * math.sqrt(N) * np.finfo(float).eps
-         * (1.0 + (G_norms + R_norm) / epsilon))
-    margin = theta * (1.0 + x) ** 16
-    return np.any(R_norms > margin[:, None] * (GZ_norms + eps_norms), axis=1)
 
 
 @one_blas_thread

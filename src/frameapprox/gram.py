@@ -106,7 +106,7 @@ class GramFactor:
     @property
     def matrix(self) -> np.ndarray:
         """H, 41 (N + 12) x N: row k holds sqrt(w_k) times the elements at node k of an hp rule."""
-        rule = hp_log_quadrature(levels=40, order=max(12, self.frame.N + 12))
+        rule = hp_log_quadrature(levels=40, order=self.frame.N + 12)
         return np.sqrt(rule.weights)[:, None] * element_matrix(self.frame, rule.nodes).T
 
 

@@ -124,19 +124,9 @@ def chebyshev_point_scheme(M: int, weighted: bool = False) -> SamplingScheme:
     which makes the discrete norm consistent with L2(0, 1) as M grows.
     """
     nodes = chebyshev_nodes(M)
-    if not weighted:
-        return SamplingScheme(
-            M=M,
-            nodes=nodes,
-            scales=np.ones(M),
-        )
     t = 2.0 * nodes - 1.0
-    weights = np.pi * np.sqrt(1.0 - t * t) / (2.0 * M)
-    return SamplingScheme(
-        M=M,
-        nodes=nodes,
-        scales=np.sqrt(weights),
-    )
+    scales = np.sqrt(np.pi * np.sqrt(1.0 - t * t) / (2.0 * M)) if weighted else np.ones(M)
+    return SamplingScheme(M=M, nodes=nodes, scales=scales)
 
 
 @dataclass(frozen=True)
@@ -185,7 +175,7 @@ def sample(scheme: SamplingScheme, f) -> DataVector:
     if scheme.nodes is not None:
         values = scheme.scales * _evaluate(f, scheme.nodes)
     else:
-        rule = hp_log_quadrature(levels=40, order=max(12, scheme.M + 12))
+        rule = hp_log_quadrature(levels=40, order=scheme.M + 12)
         fw = rule.weights * _evaluate(f, rule.nodes)
         values = sum(legendre_table(scheme.M - 1, rule.nodes[block]) @ fw[block]
                      for block in _node_blocks(rule.size, scheme.M))

@@ -130,8 +130,8 @@ def test_entry_point_runs_on_one_blas_thread(name, case, calls, hook, monkeypatc
     seen = []
     hook.fn = lambda: seen.append(calls.get())
 
-    # the work sees one thread; the entry points it calls in turn pass
-    # straight through, so the count is set once and restored once
+    # the work sees one thread; the entry points it calls in turn only add
+    # to the open entries, so the count is set once and restored once
     entry(case, hook.f)
     assert seen and set(seen) == {1}
     assert calls.sets == [1, before] and calls.get() == before
@@ -202,9 +202,29 @@ def test_entry_points_listed_are_the_pinned_ones():
     assert pinned == set(ENTRY_POINTS)
 
 
+def test_nested_entry_that_raises_leaves_the_outer_pin(case, calls):
+    # the inner entry's exit by an exception closes only its own entry: the
+    # outer one that catches it still runs on one thread, and only its exit
+    # restores the saved count
+    before = calls.get()
+    seen = []
+
+    @blas.one_blas_thread
+    def outer():
+        with pytest.raises(Boom):
+            blas.one_blas_thread(_raise)()
+        seen.append(calls.get())
+        fa.compute_kappa(case.system, EPS)
+        seen.append(calls.get())
+
+    outer()
+    assert seen == [1, 1]
+    assert calls.sets == [1, before] and calls.get() == before
+
+
 def test_pin_holds_under_thread_stress(case, calls, hook):
     # more threads than cores, switching as often as the interpreter allows:
-    # a lost update of the count of open threads would restore the thread
+    # a lost update of the count of open entries would restore the thread
     # count while an entry is open, or never restore it
     before = calls.get()
     seen = []
