@@ -38,14 +38,6 @@ _SCHEME_FAMILIES = {
     "equispaced": sampling.equispaced_points(),
     "inner": sampling.inner_products(),
 }
-_EXPERIMENTS = {
-    "pointwise_error": "error at probe points along an N sweep",
-    "oversampling": "error against M at fixed N",
-    "constants": "stability constants over a (gamma, N, eps) grid",
-    "ssr": "stable sampling rate along an N sweep",
-    "single_approx": "one approximation at fixed N and M",
-    "selftest": "seeded analytic and invariant checks",
-}
 
 
 class ConfigError(ValueError):
@@ -138,7 +130,7 @@ class ExperimentConfig:
     M_values: range = range(0)
     M_rule: str = "2N"
     gammas: List[float] = field(default_factory=lambda: [2.0])
-    epsilons: List[float] = field(default_factory=lambda: [1e-13])
+    epsilons: List[float] = field(default_factory=lambda: [solver.DEFAULT_EPSILON])
     theta: float = 2.0
     probes: List[float] = field(default_factory=lambda: list(DEFAULT_PROBES))
     out: Optional[Path] = None
@@ -403,8 +395,8 @@ def run_single_approx(cfg: ExperimentConfig) -> Tuple[Sequence[str], List[tuple]
 
 
 def _check_gl_exactness():
-    rule = orthopoly.gauss_legendre_rule(2)
-    dev = abs(rule.integrate(lambda x: x ** 3) - 0.25)
+    nodes, weights = orthopoly._gauss_legendre_cached(2)
+    dev = abs(float(weights @ nodes ** 3) - 0.25)
     return dev < 1e-15, f"cubic dev {dev:.3e}"
 
 
@@ -413,7 +405,7 @@ def _check_log_integrals():
     rule = orthopoly.hp_log_quadrature(order=32)
     worst = 0.0
     for n in range(1, 21):
-        approx = rule.integrate(lambda x: orthopoly.legendre_shifted(n, x) * np.log(x))
+        approx = rule.integrate(lambda x: orthopoly.legendre_table(n, x)[n] * np.log(x))
         closed = np.sqrt(2 * n + 1) * (-1.0) ** (n + 1) / (n * (n + 1))
         worst = max(worst, abs(approx - closed))
     return worst < 1e-11, f"max dev {worst:.3e}"
@@ -426,9 +418,9 @@ def _check_log_square():
 
 
 def _check_orthonormality():
-    rule = orthopoly.gauss_legendre_rule(16)
-    table = orthopoly.legendre_table(10, rule.nodes)
-    moments = (table * rule.weights) @ table.T
+    nodes, weights = orthopoly._gauss_legendre_cached(16)
+    table = orthopoly.legendre_table(10, nodes)
+    moments = (table * weights) @ table.T
     dev = np.abs(moments - np.eye(11)).max()
     return dev < 1e-12, f"max dev {dev:.3e}"
 
@@ -437,7 +429,7 @@ def _check_gram_identity():
     # the system is the identity block by construction, so this checks sample()
     scheme = sampling.inner_product_scheme(12)
     system = gram.build_system(frames.legendre_onb(8), scheme)
-    data = [sampling.sample(scheme, lambda x, j=j: orthopoly.legendre_shifted(j, x)).values
+    data = [sampling.sample(scheme, lambda x, j=j: orthopoly.legendre_table(j, x)[j]).values
             for j in range(8)]
     dev = np.abs(np.transpose(data) - system.matrix).max()
     return dev < 1e-12, f"max dev {dev:.3e}"
@@ -521,10 +513,21 @@ def run_selftest(cfg: ExperimentConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
+# experiment -> (its line in --help, its runner); selftest prints its checks,
+# and every other runner returns the header and rows of its CSV
+_EXPERIMENTS = {
+    "pointwise_error": ("error at probe points along an N sweep", run_pointwise_error),
+    "oversampling": ("error against M at fixed N", run_oversampling),
+    "constants": ("stability constants over a (gamma, N, eps) grid", run_constants),
+    "ssr": ("stable sampling rate along an N sweep", run_ssr),
+    "single_approx": ("one approximation at fixed N and M", run_single_approx),
+    "selftest": ("seeded analytic and invariant checks", run_selftest),
+}
+
 # built once, since each add_argument call sizes a help formatter to the terminal
 _PARSER = _Parser(prog="frameapprox", description=__doc__,
                   formatter_class=argparse.RawDescriptionHelpFormatter, epilog="experiments:\n"
-                  + "\n".join(f"  {name:<16} {text}" for name, text in _EXPERIMENTS.items()))
+                  + "\n".join(f"  {name:<16} {text}" for name, (text, _) in _EXPERIMENTS.items()))
 _PARSER.add_argument("experiment", choices=_EXPERIMENTS, metavar="experiment",
                      help="experiment to run (listed below)")
 _PARSER.add_argument("--frame", choices=("onbk", "onb"),
@@ -547,24 +550,16 @@ _PARSER.add_argument("--workers", type=int, choices=(1,), help=argparse.SUPPRESS
 _PARSER.add_argument("--config", help="key = value config file")
 
 
-_RUNNERS = {
-    "pointwise_error": run_pointwise_error,
-    "oversampling": run_oversampling,
-    "constants": run_constants,
-    "ssr": run_ssr,
-    "single_approx": run_single_approx,
-}
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = _PARSER.parse_args(argv)
         cfg = _build_config(args)
+        _, run = _EXPERIMENTS[cfg.experiment]
         if cfg.experiment == "selftest":
-            return run_selftest(cfg)
+            return run(cfg)
         path = cfg.out_path()
         _check_writable(path)
-        header, rows = _RUNNERS[cfg.experiment](cfg)
+        header, rows = run(cfg)
         _write_csv(path, header, rows)
         print(f"wrote {path}")
         return 0

@@ -1,4 +1,4 @@
-"""Shifted Legendre polynomials, point families, and quadrature rules on [0, 1]."""
+"""Shifted Legendre polynomials and quadrature rules on [0, 1]."""
 
 from __future__ import annotations
 
@@ -10,11 +10,7 @@ import numpy as np
 
 __all__ = [
     "QuadratureRule",
-    "legendre_shifted",
     "legendre_table",
-    "chebyshev_nodes",
-    "gauss_legendre_rule",
-    "equispaced_nodes",
     "hp_log_quadrature",
 ]
 
@@ -167,49 +163,15 @@ def legendre_table(max_degree: int, x) -> np.ndarray:
     return table
 
 
-def legendre_shifted(n: int, x):
-    """Orthonormal shifted Legendre polynomial sqrt(2n+1) P_n(2x-1)."""
-    if n < 0:
-        raise ValueError("degree must be >= 0")
-    x_arr = np.asarray(x, dtype=float)
-    vals = legendre_table(n, x_arr.ravel())[n]
-    if x_arr.ndim == 0:
-        return float(vals[0])
-    return vals.reshape(x_arr.shape)
-
-
-def chebyshev_nodes(M: int) -> np.ndarray:
-    """M Chebyshev points (cos((2m-1) pi / (2M)) + 1) / 2, sorted increasing."""
-    if M < 1:
-        raise ValueError("M must be >= 1")
-    m = np.arange(1, M + 1)
-    nodes = (np.cos((2 * m - 1) * np.pi / (2 * M)) + 1.0) / 2.0
-    return np.sort(nodes)
-
-
 @lru_cache(maxsize=256)
 def _gauss_legendre_cached(M: int):
+    """Read-only nodes and weights of the M-point Gauss-Legendre rule on [0, 1]."""
     t, w = np.polynomial.legendre.leggauss(M)
     nodes = (t + 1.0) / 2.0
     weights = w / 2.0
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
-
-
-def gauss_legendre_rule(M: int) -> QuadratureRule:
-    """M-point Gauss-Legendre rule on [0, 1], exact for degree <= 2M - 1."""
-    if M < 1:
-        raise ValueError("M must be >= 1")
-    nodes, weights = _gauss_legendre_cached(M)
-    return QuadratureRule(nodes=nodes.copy(), weights=weights.copy())
-
-
-def equispaced_nodes(M: int) -> np.ndarray:
-    """M midpoints (m - 1/2) / M of the uniform partition of [0, 1]."""
-    if M < 1:
-        raise ValueError("M must be >= 1")
-    return (np.arange(1, M + 1) - 0.5) / M
 
 
 def hp_log_quadrature(levels: int = 40, order: int = 10) -> QuadratureRule:

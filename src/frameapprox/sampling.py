@@ -22,8 +22,6 @@ from .gram import GramSystem, _exact_cholesky, _require, _tail_gram
 from .orthopoly import (
     _gauss_legendre_cached,
     _node_blocks,
-    chebyshev_nodes,
-    equispaced_nodes,
     hp_log_quadrature,
     legendre_table,
 )
@@ -108,10 +106,12 @@ def legendre_point_scheme(M: int) -> SamplingScheme:
 
 
 def equispaced_point_scheme(M: int) -> SamplingScheme:
-    """Midpoints of the uniform partition, scaled by sqrt(1/M)."""
+    """Midpoints (m - 1/2) / M of the uniform partition, scaled by sqrt(1/M)."""
+    if M < 1:
+        raise ValueError("M must be >= 1")
     return SamplingScheme(
         M=M,
-        nodes=equispaced_nodes(M),
+        nodes=(np.arange(1, M + 1) - 0.5) / M,
         scales=np.full(M, 1.0 / np.sqrt(M)),
     )
 
@@ -119,11 +119,15 @@ def equispaced_point_scheme(M: int) -> SamplingScheme:
 def chebyshev_point_scheme(M: int, weighted: bool = False) -> SamplingScheme:
     """Chebyshev points, plain by default or with Gauss-Chebyshev scaling.
 
+    The nodes are (cos((2m - 1) pi / (2M)) + 1) / 2, sorted increasing.
     The plain variant returns raw point values; the weighted variant
     scales by the square roots of the Gauss-Chebyshev quadrature weights,
     which makes the discrete norm consistent with L2(0, 1) as M grows.
     """
-    nodes = chebyshev_nodes(M)
+    if M < 1:
+        raise ValueError("M must be >= 1")
+    m = np.arange(1, M + 1)
+    nodes = np.sort((np.cos((2 * m - 1) * np.pi / (2 * M)) + 1.0) / 2.0)
     t = 2.0 * nodes - 1.0
     scales = np.sqrt(np.pi * np.sqrt(1.0 - t * t) / (2.0 * M)) if weighted else np.ones(M)
     return SamplingScheme(M=M, nodes=nodes, scales=scales)

@@ -16,6 +16,14 @@ import math
 
 import numpy as np
 
+from frameapprox import orthopoly
+
+
+def gauss_legendre_rule(M):
+    """M-point Gauss-Legendre rule on [0, 1], on copies of the library's cached arrays."""
+    nodes, weights = orthopoly._gauss_legendre_cached(M)
+    return orthopoly.QuadratureRule(nodes=nodes.copy(), weights=weights.copy())
+
 
 def dense_kappa(system, factor, epsilon):
     """sup over data y of ||T V (Sigma_eps)^+ U* y|| / ||y||, dense route."""

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frameapprox import orthopoly
+import oracles
+from frameapprox import orthopoly, sampling
 
 
 def test_quadrature_rule_validation():
@@ -20,13 +21,13 @@ def test_quadrature_rule_validation():
 
 
 def test_two_point_gauss_integrates_cubic_exactly():
-    rule = orthopoly.gauss_legendre_rule(2)
+    rule = oracles.gauss_legendre_rule(2)
     assert abs(rule.integrate(lambda x: x ** 3) - 0.25) < 1e-15
 
 
 def test_gauss_weights_sum_to_one():
     for M in (1, 2, 7, 40):
-        rule = orthopoly.gauss_legendre_rule(M)
+        rule = oracles.gauss_legendre_rule(M)
         assert abs(rule.weights.sum() - 1.0) < 1e-14
         assert np.all((rule.nodes > 0) & (rule.nodes < 1))
 
@@ -38,7 +39,7 @@ def test_gauss_exactness_degree(M, data):
     degree = data.draw(st.integers(0, 2 * M - 1))
     coeffs = np.array(data.draw(
         st.lists(st.floats(-4, 4), min_size=degree + 1, max_size=degree + 1)))
-    rule = orthopoly.gauss_legendre_rule(M)
+    rule = oracles.gauss_legendre_rule(M)
     exact = np.sum(coeffs / (np.arange(degree + 1) + 1.0))
     approx = rule.integrate(lambda x: np.polynomial.polynomial.polyval(x, coeffs))
     assert abs(approx - exact) < 1e-12 * max(1.0, np.abs(coeffs).sum())
@@ -46,7 +47,7 @@ def test_gauss_exactness_degree(M, data):
 
 def test_chebyshev_nodes_closed_form():
     M = 4
-    nodes = orthopoly.chebyshev_nodes(M)
+    nodes = sampling.chebyshev_point_scheme(M).nodes
     expected = np.sort((np.cos((2 * np.arange(1, M + 1) - 1) * np.pi / (2 * M)) + 1) / 2)
     assert np.allclose(nodes, expected, atol=1e-15)
     assert np.all(np.diff(nodes) > 0)
@@ -55,21 +56,21 @@ def test_chebyshev_nodes_closed_form():
 @settings(deadline=None)
 @given(M=st.integers(1, 200))
 def test_chebyshev_nodes_inside_interval(M):
-    nodes = orthopoly.chebyshev_nodes(M)
+    nodes = sampling.chebyshev_point_scheme(M).nodes
     assert nodes.shape == (M,)
     assert np.all((nodes > 0) & (nodes < 1))
     assert np.all(np.diff(nodes) > 0)
 
 
 def test_equispaced_midpoints():
-    assert np.allclose(orthopoly.equispaced_nodes(4), [0.125, 0.375, 0.625, 0.875])
+    assert np.allclose(sampling.equispaced_point_scheme(4).nodes, [0.125, 0.375, 0.625, 0.875])
 
 
 def test_equispaced_midpoint_riemann_convergence():
     # midpoint sums for f = exp converge at rate M^-2 with constant (e-1)/24
     errors = {}
     for M in (16, 64, 256):
-        x = orthopoly.equispaced_nodes(M)
+        x = sampling.equispaced_point_scheme(M).nodes
         errors[M] = abs(np.exp(x).sum() / M - (np.e - 1.0))
     assert abs(errors[16] * 16 ** 2 - (np.e - 1.0) / 24) < 2e-4
     assert 15 < errors[16] / errors[64] < 17
@@ -79,7 +80,7 @@ def test_equispaced_midpoint_riemann_convergence():
 
 def test_legendre_endpoint_value():
     for n in (0, 1, 5, 17):
-        assert abs(orthopoly.legendre_shifted(n, 1.0) - np.sqrt(2 * n + 1)) < 1e-12
+        assert abs(orthopoly.legendre_table(n, 1.0)[n, 0] - np.sqrt(2 * n + 1)) < 1e-12
 
 
 def test_legendre_table_shape_and_degree_zero():
@@ -94,7 +95,7 @@ def test_legendre_table_shape_and_degree_zero():
 @given(n=st.integers(0, 30), x=st.floats(0.0, 1.0))
 def test_legendre_sup_norm_bound(n, x):
     # |sqrt(2n+1) P_n| on [0,1] peaks at the endpoints
-    assert abs(orthopoly.legendre_shifted(n, x)) <= np.sqrt(2 * n + 1) + 1e-10
+    assert abs(orthopoly.legendre_table(n, x)[n, 0]) <= np.sqrt(2 * n + 1) + 1e-10
 
 
 def _reference_table(max_degree, x):
@@ -134,7 +135,7 @@ def test_legendre_table_equals_the_plain_recurrence_to_the_bit(dtype, size):
 
 
 def test_legendre_orthonormality_under_gauss_rule():
-    rule = orthopoly.gauss_legendre_rule(32)
+    rule = oracles.gauss_legendre_rule(32)
     table = orthopoly.legendre_table(20, rule.nodes)
     moments = (table * rule.weights) @ table.T
     assert np.abs(moments - np.eye(21)).max() < 1e-13
@@ -150,7 +151,7 @@ def test_hp_rule_structure():
 @pytest.mark.parametrize("levels, order", [(1, 1), (10, 4), (40, 10), (40, 212)])
 def test_hp_rule_equals_cell_by_cell_construction(levels, order):
     rule = orthopoly.hp_log_quadrature(levels, order)
-    base = orthopoly.gauss_legendre_rule(order)
+    base = oracles.gauss_legendre_rule(order)
     edges = np.concatenate(([0.0], np.ldexp(1.0, -np.arange(levels, -1, -1))))
     nodes = [a + (b - a) * base.nodes for a, b in zip(edges[:-1], edges[1:])]
     weights = [(b - a) * base.weights for a, b in zip(edges[:-1], edges[1:])]
@@ -180,7 +181,7 @@ def test_hp_log_legendre_integrals_closed_form():
     rule = orthopoly.hp_log_quadrature(order=32)
     for n in range(1, 21):
         value = rule.integrate(
-            lambda x: orthopoly.legendre_shifted(n, x) * np.log(x)
+            lambda x: orthopoly.legendre_table(n, x)[n] * np.log(x)
         ) / np.sqrt(2 * n + 1)
         closed = (-1.0) ** (n + 1) / (n * (n + 1))
         assert abs(value - closed) < 1e-11
@@ -188,7 +189,7 @@ def test_hp_log_legendre_integrals_closed_form():
 
 def test_hp_resolves_log_singularity_better_than_plain_gauss():
     hp = orthopoly.hp_log_quadrature(levels=40, order=10)
-    plain = orthopoly.gauss_legendre_rule(hp.size)
+    plain = oracles.gauss_legendre_rule(hp.size)
     f = lambda x: np.log(x) ** 2
     err_hp = abs(hp.integrate(f) - 2.0)
     err_plain = abs(plain.integrate(f) - 2.0)
