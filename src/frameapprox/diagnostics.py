@@ -73,6 +73,43 @@ at M = 243, below the test's theta (1 + delta) = 2.03, while kappa is
 take the full route whatever the witness; adding kappa's direction as a
 third witness made searches slower (ROADMAP, "Tried and not planned").
 
+Before the first full route there are no such vectors, and the first
+step, M = N, would take its SVD only to find them.  Its witness comes
+from the bound above instead.  At M >= N, G* G + eps^2 I = V (Sigma^2 +
+eps^2) V*, so the square of the bound is the largest eigenvalue of the
+symmetric-definite pencil (R* R, G* G + eps^2 I),
+
+    max_z ||R z||^2 / (||G z||^2 + eps^2 ||z||^2),
+
+and since (||G z||^2 + eps^2 ||z||^2)^(1/2) <= ||G z|| + eps ||z|| <=
+sqrt(2) (||G z||^2 + eps^2 ||z||^2)^(1/2), the test's ratio of a z lies
+within a factor sqrt(2) below the square root of its quotient on the
+pencil.  One inverse-iteration step on the pencil (Golub & Van Loan,
+Matrix Computations, sec. 8.7) from the ones vector,
+
+    z = (G* G + eps^2 I)^-1 R* R 1,
+
+takes one product G* G and one solve, and no SVD (_pencil_witness).  At
+M = N the pencil's top is far above theta: the N samples see the frame's
+K near-dependent directions much more weakly than the L2 norm does (at
+Legendre points with N = 60, the two largest of them have singular
+values 1.5e-3 and 7e-8 in G against 2.4e-2 and 3e-5 in R), and one step
+of (G* G + eps^2 I)^-1 R* R lifts exactly those directions out of the
+ones vector.  At Legendre points with K = 5 the one-step
+test ratio is 21.4 at N = 200, eps = 1e-5 (the pencil's top 112) and
+2125 at N = 60, eps = 1e-8 (2505), against margins of 2.00 and 2.01,
+and more steps changed no search.  The witness test's rounding count
+below reads only the rounding of R z, G z and their norms, so it holds
+for any z however it was found, and M_theta is unchanged by
+construction.  z is the witness until the first full route replaces it;
+a z that does not rule out the first step is replaced at once, and a
+solve that fails or gives a z that is not finite leaves that step to the
+full route.  At N = 200 the seed costs about 0.8 ms, against 4.5 ms for
+the SVD and kappa step of M = 200 that it rules out.  Only the first step
+is seeded: past it the pencil's top falls towards theta, and seeding
+before every full route ruled out one more step at N = 200, eps = 1e-5
+(M = 310) but made that search slower, 38.9 ms against 34.4.
+
 The grid is scanned in chunks of consecutive steps: as many as fit in
 _CHUNK_VALUES (2^14) stacked matrix values, and always at least one.  A
 chunk's matrices come from one _stacked_matrix call, as a constants
@@ -132,7 +169,8 @@ longer holds, but delta then grows so fast that the test seldom fires.
 At Legendre points with K = 5, delta is 1.6e-2 at eps = 1e-8, N = 60,
 M = 270 and 8e-5 at eps = 1e-5, N = 200, M = 360.  At eps = 1e-14 and
 N = 12 it exceeds 1e30, far above ||R z|| / (eps ||z||) <= ||R|| / eps,
-so no step is ruled out there.
+so no step is ruled out there, and at eps = 1e-40 and N = 10 (1 + x)^16
+overflows to an infinite margin, which rules nothing out either.
 
 The witness test sums squares over segments of stacked rows, not as
 np.linalg.norm of each step's matrix, and that changes none of the
@@ -172,7 +210,10 @@ at N = 20 and 1e-11 at N = 200.  At Legendre points with K = 5 and
 theta = 2, a search takes 2 singular-value-only SVDs at eps = 1e-8,
 N = 40 (17 without the power step), 3 at eps = 1e-8, N = 60 (32) and 2 at
 eps = 1e-5, N = 200 (4): kappa's and lambda's at M_theta, and at most one
-more.  The steps that the witnesses leave are mostly certified.
+more.  The steps that the witnesses leave are mostly certified.  It takes
+the SVD of G at 12 steps at eps = 1e-8, N = 40 (16 without the pencil's
+witness), at 31 at eps = 1e-8, N = 60 (31) and at 2 at eps = 1e-5,
+N = 200 (3).
 """
 
 from __future__ import annotations
@@ -325,18 +366,26 @@ def stable_sampling_rate(
 
     R = build_gram_factor(frame).R
     R_norm = np.linalg.norm(R)
-    Z = None  # the witnesses as columns, once a step has taken the full route
+    Z = None  # the witnesses as columns: the pencil's, then the last full route's
     for chunk in _stacks(range(N, M_max + 1, max(1, N // 20)), N):
         G, schemes, _ = _stacked_matrix(frame, scheme_family, chunk)
         Ms = np.array(chunk)
         starts = np.cumsum(Ms) - Ms
         # each step's ||G||_F and witness margin theta (1 + delta), which no
-        # witness changes
+        # witness changes; an infinite margin rules nothing out
         G_norms = np.sqrt(np.add.reduceat(np.einsum("ij,ij->i", G, G), starts))
-        x = (Ms + N) * math.sqrt(N) * np.finfo(float).eps * (1.0 + (G_norms + R_norm) / epsilon)
-        margins = theta * (1.0 + x) ** 16
+        with np.errstate(over="ignore"):
+            x = (Ms + N) * math.sqrt(N) * np.finfo(float).eps * (1.0 + (G_norms + R_norm) / epsilon)
+            margins = theta * (1.0 + x) ** 16
         step = 0
         while step < Ms.size:
+            if Z is None:
+                # the first step's witness, without an SVD; the full route
+                # replaces it at once unless it rules that step out
+                Z = _pencil_witness(G[:Ms[0]], R, epsilon)
+                if Z is not None:
+                    RZ_norms = np.linalg.norm(R @ Z, axis=0)
+                    eps_Z_norms = epsilon * np.linalg.norm(Z, axis=0)
             if Z is not None:
                 # ||G z|| per step's segment of rows, for the steps left
                 GZ_norms = np.sqrt(np.add.reduceat(np.square(G[starts[step]:] @ Z),
@@ -363,6 +412,23 @@ def stable_sampling_rate(
             eps_Z_norms = epsilon * np.linalg.norm(Z, axis=0)
             step += 1
     return None
+
+
+def _pencil_witness(G: np.ndarray, R: np.ndarray, epsilon: float) -> Optional[np.ndarray]:
+    """One inverse-iteration step on the pencil (R* R, G* G + eps^2 I) from the ones vector.
+
+    The unit z = (G* G + eps^2 I)^-1 R* R 1 / ||.|| as a column (module
+    docstring), or None when the solve fails or z is not finite.
+    """
+    A = G.T @ G
+    A.flat[::A.shape[0] + 1] += epsilon ** 2
+    with np.errstate(all="ignore"):
+        try:
+            z = np.linalg.solve(A, R.T @ R.sum(axis=1))
+        except np.linalg.LinAlgError:
+            return None
+        z /= np.linalg.norm(z)
+    return z[:, None] if np.all(np.isfinite(z)) else None
 
 
 def _stacks(Ms: Sequence[int], N: int) -> Iterator[Sequence[int]]:

@@ -424,10 +424,12 @@ def test_ssr_matches_the_full_scan(scheme_family):
                     assert found == expected, (N, K, eps, theta)
 
 
-@pytest.mark.parametrize("N,eps", [(40, 1e-5), (40, 1e-8), (60, 1e-5), (60, 1e-8)])
+@pytest.mark.parametrize("N,eps", [(40, 1e-5), (40, 1e-8), (60, 1e-5), (60, 1e-8),
+                                   (100, 1e-5), (100, 1e-8), (200, 1e-5)])
 def test_ssr_matches_the_full_scan_where_the_power_step_certifies(N, eps):
     # Legendre points with K = 5, where most full-route steps are failed by
-    # one power step on R V_r D^-1 without kappa's SVD
+    # one power step on R V_r D^-1 without kappa's SVD, and from N = 100 the
+    # pencil's witness rules out the first step
     frame, family = frames.onb_plus_k(N, 5), sampling.legendre_points()
     expected = _full_scan(frame, family, 2.0, eps, 64 * N)
     assert diagnostics.stable_sampling_rate(frame, family, 2.0, eps) == expected
@@ -470,10 +472,11 @@ def test_ssr_legendre_rate_drops_with_one_more_truncated_direction():
 
 
 def test_ssr_skips_most_svds_of_failing_steps(monkeypatch):
-    # 66 grid steps (M = 40, 42, ..., 170); the witnesses rule out most of
-    # them, and one power step fails the rest without kappa's SVD, so only
-    # kappa's and lambda's at M_theta remain of the 17 singular-value-only
-    # SVDs a search without the power step takes
+    # 66 grid steps (M = 40, 42, ..., 170); the pencil's witness rules out
+    # the first 18 and the full route's witnesses most of the rest, and one
+    # power step fails the others without kappa's SVD, so only kappa's and
+    # lambda's at M_theta remain of the 17 singular-value-only SVDs a search
+    # without the power step takes
     calls, norm_svds = [], []
     from_matrix = gram.GramSystem.from_matrix.__func__
     svd = np.linalg.svd
@@ -492,8 +495,8 @@ def test_ssr_skips_most_svds_of_failing_steps(monkeypatch):
     frame = frames.onb_plus_k(40, 5)
     assert diagnostics.stable_sampling_rate(
         frame, sampling.legendre_points(), 2.0, 1e-8) == 170
-    assert calls[0] == 40 and calls[-1] == 170
-    assert len(calls) < 66 / 2
+    assert calls[0] == 76 and calls[-1] == 170
+    assert len(calls) <= 12
     assert len(norm_svds) <= 2
 
 
@@ -585,8 +588,52 @@ def test_ssr_builds_few_stacked_matrices_within_the_cap(monkeypatch):
     assert len(shapes) < 66 / 3
     # the largest step evaluated is M = 172, the one after the hit
     assert max(M * N for M, N in shapes) <= max(diagnostics._CHUNK_VALUES, 172 * 40)
-    # the scan of one step at a time made 16 full-route systems here
-    assert len(full) <= 16
+    # the scan of one step at a time made 16 full-route systems here, and 12
+    # once the pencil's witness rules out the first step
+    assert len(full) <= 12
+
+
+@pytest.mark.parametrize("N,M_theta,rows", [(100, 175, [155, 175]), (200, 360, [310, 360])])
+def test_ssr_seeds_its_first_witness_without_an_svd(N, M_theta, rows, monkeypatch):
+    # one inverse-iteration step on (R* R, G* G + eps^2 I) rules out M = N,
+    # whose full route the scan would otherwise take first
+    _, full = _record_scan(monkeypatch)
+    frame = frames.onb_plus_k(N, 5)
+    assert diagnostics.stable_sampling_rate(
+        frame, sampling.legendre_points(), 2.0, 1e-5) == M_theta
+    assert full == rows
+
+
+@pytest.mark.parametrize("solve", ["raises", "nan"])
+def test_ssr_takes_the_full_route_where_the_seed_fails(solve, monkeypatch):
+    def failing(a, b):
+        if solve == "raises":
+            raise np.linalg.LinAlgError("Singular matrix")
+        return np.full_like(b, np.nan)
+
+    _, full = _record_scan(monkeypatch)
+    monkeypatch.setattr(np.linalg, "solve", failing)
+    frame = frames.onb_plus_k(100, 5)
+    assert diagnostics.stable_sampling_rate(
+        frame, sampling.legendre_points(), 2.0, 1e-5) == 175
+    assert full == [100, 155, 175]
+
+
+def test_ssr_seed_leaves_a_first_step_that_meets_theta():
+    # no witness rules out a step with max(kappa, lambda) <= theta, the
+    # pencil's included
+    frame, family = frames.onb_plus_k(5, 1), sampling.inner_products()
+    assert diagnostics.stable_sampling_rate(frame, family, 2.0, 1e-5) == 5
+    assert _full_scan(frame, family, 2.0, 1e-5, 5) == 5
+
+
+@pytest.mark.filterwarnings("error")
+def test_ssr_at_a_tiny_epsilon_warns_of_no_overflow():
+    # eps = 1e-40 makes every witness margin infinite: nothing is ruled out
+    # and the seed's solve is all but singular, both silently
+    frame, family = frames.onb_plus_k(10, 5), sampling.legendre_points()
+    assert diagnostics.stable_sampling_rate(frame, family, 2.0, 1e-40) == 41
+    assert _full_scan(frame, family, 2.0, 1e-40, 64 * 10) == 41
 
 
 def test_ssr_scans_a_huge_grid_lazily():
