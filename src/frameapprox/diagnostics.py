@@ -94,21 +94,24 @@ M = N the pencil's top is far above theta: the N samples see the frame's
 K near-dependent directions much more weakly than the L2 norm does (at
 Legendre points with N = 60, the two largest of them have singular
 values 1.5e-3 and 7e-8 in G against 2.4e-2 and 3e-5 in R), and one step
-of (G* G + eps^2 I)^-1 R* R lifts exactly those directions out of the
-ones vector.  At Legendre points with K = 5 the one-step
-test ratio is 21.4 at N = 200, eps = 1e-5 (the pencil's top 112) and
-2125 at N = 60, eps = 1e-8 (2505), against margins of 2.00 and 2.01,
-and more steps changed no search.  The witness test's rounding count
-below reads only the rounding of R z, G z and their norms, so it holds
-for any z however it was found, and M_theta is unchanged by
-construction.  z is the witness until the first full route replaces it;
-a z that does not rule out the first step is replaced at once, and a
-solve that fails or gives a z that is not finite leaves that step to the
-full route.  At N = 200 the seed costs about 0.8 ms, against 4.5 ms for
-the SVD and kappa step of M = 200 that it rules out.  Only the first step
-is seeded: past it the pencil's top falls towards theta, and seeding
-before every full route ruled out one more step at N = 200, eps = 1e-5
-(M = 310) but made that search slower, 38.9 ms against 34.4.
+of (G* G + eps^2 I)^-1 R* R lifts those directions out of the ones
+vector.  At Legendre points with K = 5 the one-step test ratio is 21.4
+at N = 200, eps = 1e-5 (the pencil's top 112) and 2125 at N = 60,
+eps = 1e-8 (2505), against margins of 2.00 and 2.01, and two or three
+steps changed no full-route step of either search.
+
+The witness test's rounding count below reads only the rounding of R z,
+G z and their norms, so it holds for any z however it was found, and
+M_theta is unchanged by construction.  z is the witness until the first
+full route replaces it; a z that does not rule out the first step is
+replaced at once, and a solve that fails or gives a z that is not finite
+leaves that step to the full route.  At N = 200 the seed costs about
+0.6 ms, against 4.6 ms for the SVD, kappa step and witnesses of M = 200
+that it rules out.  Only the first step is seeded: past it the pencil's
+top falls towards theta, and a seed before every full route, tried,
+ruled out no further step at N = 100 or 200, eps = 1e-5, while the
+N = 60, eps = 1e-8 search paid it at each of its 31 full-route steps and
+got slower.
 
 The grid is scanned in chunks of consecutive steps: as many as fit in
 _CHUNK_VALUES (2^14) stacked matrix values, and always at least one.  A
@@ -420,9 +423,10 @@ def _pencil_witness(G: np.ndarray, R: np.ndarray, epsilon: float) -> Optional[np
     The unit z = (G* G + eps^2 I)^-1 R* R 1 / ||.|| as a column (module
     docstring), or None when the solve fails or z is not finite.
     """
-    A = G.T @ G
-    A.flat[::A.shape[0] + 1] += epsilon ** 2
+    # an overflow, or a zero or infinite z, leaves a z that is not finite
     with np.errstate(all="ignore"):
+        A = G.T @ G
+        A.flat[::A.shape[0] + 1] += epsilon ** 2
         try:
             z = np.linalg.solve(A, R.T @ R.sum(axis=1))
         except np.linalg.LinAlgError:
