@@ -593,7 +593,8 @@ def test_ssr_builds_few_stacked_matrices_within_the_cap(monkeypatch):
     assert len(full) <= 12
 
 
-@pytest.mark.parametrize("N,M_theta,rows", [(100, 175, [155, 175]), (200, 360, [310, 360])])
+@pytest.mark.parametrize("N,M_theta,rows", [(100, 175, [155, 175]), (200, 360, [310, 360])],
+                         ids=["100", "200"])
 def test_ssr_seeds_its_first_witness_without_an_svd(N, M_theta, rows, monkeypatch):
     # one inverse-iteration step on (R* R, G* G + eps^2 I) rules out M = N,
     # whose full route the scan would otherwise take first
