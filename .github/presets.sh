@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Write every preset CSV, the selftest report and the extra CLI runs below
-# into the directory named by the one argument.  The presets are the
-# scripts/run_*.py of the working directory, run with the frameapprox that
-# python imports there (installed, or from PYTHONPATH).
+# Write every preset CSV, the selftest report, the kept ranks of the fit
+# presets and the extra CLI runs below into the directory named by the one
+# argument.  The presets are the scripts/run_*.py of the working directory,
+# run with the frameapprox that python imports there (installed, or from
+# PYTHONPATH).
 #
 #   bash .github/presets.sh OUT_DIR
 set -euo pipefail
@@ -13,6 +14,10 @@ for script in scripts/run_*.py; do
   python "$script" "$out"
 done
 python -m frameapprox.cli selftest --seed 0 > "$out/selftest.txt"
+# the fit CSVs print no kept rank, so fit_ranks.csv lists each fit's rank
+# for the kernel compare to gate; the script is found by this script's own
+# path, since CI runs this script of the head inside the base tree
+python "$(dirname "$0")/fit_ranks.py" "$out/fit_ranks.csv"
 # no preset reaches N = 100 or 200, where the Gram factor's tail Gram is
 # most ill conditioned and the search takes the most steps, nor an
 # inner-product system at N = 60; at eps = 1e-8 one power step proves

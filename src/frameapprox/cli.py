@@ -15,7 +15,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -50,8 +50,8 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _parse_int_range(text: str) -> range:
-    """Parse '40' or an inclusive 'start:step:stop' range like '5:5:60'.
+def _parse_int_range(text: str, name: str) -> range:
+    """Parse '40' or an inclusive 'start:step:stop' range like '5:5:60' of positive values.
 
     The range is never expanded into a list: the runners check its largest
     value against the system size cap, then iterate it.
@@ -74,6 +74,8 @@ def _parse_int_range(text: str) -> range:
     # this also keeps the range's length within a machine integer
     if stop - (stop - start) % step > MAX_SYSTEM_VALUES:
         raise ConfigError(f"sweep {text!r} goes beyond the cap of {MAX_SYSTEM_VALUES} values")
+    if start < 1:
+        raise ConfigError(f"{name} values must be positive, got {start}")
     return range(start, stop + 1, step)
 
 
@@ -114,47 +116,52 @@ def _parse_m_rule(text: str) -> Callable[[int], int]:
         raise ConfigError(f"could not parse M rule {text!r}") from None
 
 
+_FRAMES = ("onbk", "onb")
+
+
 @dataclass
 class ExperimentConfig:
     """Resolved settings for one experiment run.
 
-    N_values and M_values are ascending ranges, which the runners check by
-    their ends and iterate without expanding.
+    Each field but experiment is named by its option (`_OPTIONS`).  N and M
+    are ascending ranges of positive values, which the runners check by
+    their ends and iterate without expanding.  Every value is checked here
+    or by its option's parser, whichever experiment reads it; a runner
+    checks only what its experiment needs besides, such as a single N or a
+    system within the size cap.
     """
 
     experiment: str
     frame: str = "onbk"
     K: int = 1
     nodes: str = "chebyshev"
-    N_values: range = range(0)
-    M_values: range = range(0)
+    N: range = range(0)
+    M: range = range(0)
     M_rule: str = "2N"
     gammas: List[float] = field(default_factory=lambda: [2.0])
-    epsilons: List[float] = field(default_factory=lambda: [solver.DEFAULT_EPSILON])
+    eps: List[float] = field(default_factory=lambda: [solver.DEFAULT_EPSILON])
     theta: float = 2.0
     probes: List[float] = field(default_factory=lambda: list(DEFAULT_PROBES))
     out: Optional[Path] = None
     seed: int = 0
 
     def __post_init__(self):
-        if self.experiment not in _EXPERIMENTS:
-            raise ConfigError(f"unknown experiment {self.experiment!r}")
-        if self.frame not in ("onbk", "onb"):
+        if self.frame not in _FRAMES:
             raise ConfigError(f"unknown frame {self.frame!r}")
         if self.nodes not in _SCHEME_FAMILIES:
             raise ConfigError(f"unknown node family {self.nodes!r}")
         if self.K < 0:
             raise ConfigError("K must be nonnegative")
-        for eps in self.epsilons:
+        _parse_m_rule(self.M_rule)
+        for gamma in self.gammas:
+            if not 1 <= gamma < math.inf:
+                raise ConfigError(f"gamma must be finite and at least 1, got {gamma}")
+        for eps in self.eps:
             if not 0 < eps < math.inf:
                 raise ConfigError("epsilon values must be positive and finite")
-        if not self.epsilons:
-            raise ConfigError("epsilon sweep is empty")
         for p in self.probes:
             if not 0 < p <= 1:
                 raise ConfigError(f"probe point {p} outside (0, 1]")
-        if not self.probes:
-            raise ConfigError("probe list is empty")
         if not 1 < self.theta < math.inf:  # also rejects nan
             raise ConfigError("theta must be finite and exceed 1")
         if self.seed < 0:
@@ -193,23 +200,26 @@ def _read_config_file(path: str) -> dict:
     return entries
 
 
-# config key -> (ExperimentConfig field, parser of its text); a flag and a
-# config file entry go through the same parser, and a key given neither way
-# leaves the field at its default
-_CONFIG_KEYS = {
-    "experiment": ("experiment", str),
-    "frame": ("frame", str),
-    "K": ("K", int),
-    "nodes": ("nodes", str),
-    "N": ("N_values", _parse_int_range),
-    "M": ("M_values", _parse_int_range),
-    "M_rule": ("M_rule", str),
-    "gammas": ("gammas", lambda text: _parse_float_list(text, "gamma")),
-    "eps": ("epsilons", lambda text: _parse_float_list(text, "epsilon")),
-    "theta": ("theta", float),
-    "probes": ("probes", lambda text: _parse_float_list(text, "probe")),
-    "out": ("out", Path),
-    "seed": ("seed", int),
+# option -> (parser of its text, its line in --help, its flag's choices); each
+# option is a flag (--M_rule spelled --M-rule), a config file key and an
+# ExperimentConfig field, and a flag and a config file entry go through the
+# same parser; an option given neither way leaves the field at its default
+_OPTIONS = {
+    "frame": (str, "frame family: enriched (onbk) or plain polynomial (onb)", _FRAMES),
+    "K": (int, "number of enrichment elements", None),
+    "nodes": (str, "sampling scheme family", _SCHEME_FAMILIES),
+    "N": (lambda text: _parse_int_range(text, "N"), "N value or start:step:stop sweep", None),
+    "M": (lambda text: _parse_int_range(text, "M"), "M value or start:step:stop sweep", None),
+    "M_rule": (str, "M as a function of N, e.g. 2N, 1.5N, or a fixed integer", None),
+    "gammas": (lambda text: _parse_float_list(text, "gamma"),
+               "comma list of oversampling ratios", None),
+    "eps": (lambda text: _parse_float_list(text, "epsilon"),
+            "comma list of truncation thresholds", None),
+    "theta": (float, "stability target for ssr", None),
+    "probes": (lambda text: _parse_float_list(text, "probe"),
+               "comma list of probe points in (0, 1]", None),
+    "out": (Path, "output CSV path", None),
+    "seed": (int, "seed for randomized checks", None),
 }
 
 
@@ -217,24 +227,25 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     texts = {}
     if args.config:
         texts.update(_read_config_file(args.config))
-        unknown = set(texts) - _CONFIG_KEYS.keys()
+        unknown = texts.keys() - _OPTIONS.keys() - {"experiment"}
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
-        if "experiment" in texts and texts["experiment"] != args.experiment:
+        experiment = texts.pop("experiment", args.experiment)
+        if experiment != args.experiment:
             raise ConfigError(
-                f"config file names experiment {texts['experiment']!r} "
+                f"config file names experiment {experiment!r} "
                 f"but the experiment argument is {args.experiment!r}"
             )
     # command-line flags win over config file entries
-    for key, flag in vars(args).items():
-        if key in _CONFIG_KEYS and flag is not None:
+    for key in _OPTIONS:
+        flag = getattr(args, key)
+        if flag is not None:
             texts[key] = flag
 
     settings = {}
     for key, text in texts.items():
-        name, parse = _CONFIG_KEYS[key]
         try:
-            settings[name] = parse(text)
+            settings[key] = _OPTIONS[key][0](text)
         except ConfigError:
             raise
         except ValueError:
@@ -242,7 +253,7 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     # checked on the keys given, since K defaults to 1 for the enriched frame
     if settings.get("frame") == "onb" and settings.get("K"):
         raise ConfigError("frame onb has no enrichment: K must be 0")
-    return ExperimentConfig(**settings)
+    return ExperimentConfig(args.experiment, **settings)
 
 
 def _fmt(value) -> str:
@@ -272,55 +283,44 @@ def _check_writable(path: Path) -> None:
 
 
 def _require_sweep(values: range, name: str) -> int:
-    """The largest value of a nonempty ascending sweep of positive values."""
+    """The largest value of a nonempty sweep."""
     if not values:
         raise ConfigError(f"experiment requires a {name} sweep (use --{name})")
-    if values[0] < 1:
-        raise ConfigError(f"{name} values must be positive, got {values[0]}")
     return values[-1]
 
 
-def _single_epsilon(cfg: ExperimentConfig) -> float:
+def _fits(cfg: ExperimentConfig, sizes: Iterable[Tuple[int, int]]) -> Iterator[tuple]:
+    """(N, M, fit, report) of the target at each (N, M) of sizes, at the single eps."""
     # these schemas have no eps column, so a second cutoff has nowhere to go
-    if len(cfg.epsilons) != 1:
+    if len(cfg.eps) != 1:
         raise ConfigError(f"{cfg.experiment} takes a single eps")
-    return cfg.epsilons[0]
+    family = cfg.scheme_family()
+    for N, M in sizes:
+        # looked up on the module on each call, so that a caller can wrap it
+        fit = solver.approximate(frames.target_function, cfg.frame_for(N), family,
+                                 M=M, epsilon=cfg.eps[0])
+        yield N, M, fit, solver.error_report(fit, frames.target_function, cfg.probes)
 
 
 def run_pointwise_error(cfg: ExperimentConfig) -> Tuple[Sequence[str], List[tuple]]:
     """Pointwise error at probe points along an N sweep with M tied to N."""
-    Ns = cfg.N_values
     rule = _parse_m_rule(cfg.M_rule)
-    rule(_require_sweep(Ns, "N"))  # M x N grows with N, so this checks every system
-    eps = _single_epsilon(cfg)
-    family = cfg.scheme_family()
-    rows = []
-    for N in Ns:
-        M = rule(N)
-        frame = cfg.frame_for(N)
-        approx = solver.approximate(frames.target_function, frame, family, M=M, epsilon=eps)
-        report = solver.error_report(approx, frames.target_function, cfg.probes)
-        for probe, err in zip(report.probes, report.errors):
-            rows.append((N, M, probe, err, report.coefficient_norm))
+    rule(_require_sweep(cfg.N, "N"))  # M x N grows with N, so this checks every system
+    rows = [(N, M, probe, err, report.coefficient_norm)
+            for N, M, _, report in _fits(cfg, ((N, rule(N)) for N in cfg.N))
+            for probe, err in zip(report.probes, report.errors)]
     return ("N", "M", "probe", "error", "coeff_norm"), rows
 
 
 def run_oversampling(cfg: ExperimentConfig) -> Tuple[Sequence[str], List[tuple]]:
     """Error against M at fixed N; exposes the oversampling plateau."""
-    Ns, Ms = cfg.N_values, cfg.M_values
-    _require_sweep(Ns, "N")
-    if len(Ns) != 1:
+    _require_sweep(cfg.N, "N")
+    if len(cfg.N) != 1:
         raise ConfigError("oversampling takes a single N")
-    N = Ns[0]
-    _system_rows(_require_sweep(Ms, "M"), N)
-    eps = _single_epsilon(cfg)
-    frame = cfg.frame_for(N)
-    family = cfg.scheme_family()
-    rows = []
-    for M in Ms:
-        approx = solver.approximate(frames.target_function, frame, family, M=M, epsilon=eps)
-        report = solver.error_report(approx, frames.target_function, cfg.probes)
-        rows.append((N, M, report.max_error, report.coefficient_norm))
+    N = cfg.N[0]
+    _system_rows(_require_sweep(cfg.M, "M"), N)
+    rows = [(N, M, report.max_error, report.coefficient_norm)
+            for N, M, _, report in _fits(cfg, ((N, M) for M in cfg.M))]
     return ("N", "M", "max_error", "coeff_norm"), rows
 
 
@@ -331,20 +331,15 @@ def _require_factor_k(cfg: ExperimentConfig) -> None:
 
 def run_constants(cfg: ExperimentConfig) -> Tuple[Sequence[str], List[tuple]]:
     """Stability constants over a (gamma, N, epsilon) grid."""
-    Ns = cfg.N_values
-    N_max = _require_sweep(Ns, "N")
+    N_max = _require_sweep(cfg.N, "N")
     _require_factor_k(cfg)
-    for gamma in cfg.gammas:
-        if not 1 <= gamma < math.inf:
-            raise ConfigError(f"gamma must be finite and at least 1, got {gamma}")
-        _system_rows(gamma * N_max, N_max)
+    _system_rows(max(cfg.gammas) * N_max, N_max)
     # only a run that goes ahead is warned
     if cfg.K > MAX_VERIFIED_A_PRIME_K:
         print(f"warning: A' is verified only for K <= {MAX_VERIFIED_A_PRIME_K} (ROADMAP item 21)",
               file=sys.stderr)
-    sweep = diagnostics.constants_sweep(
-        cfg.frame_for, cfg.scheme_family(), cfg.gammas, Ns, cfg.epsilons
-    )
+    sweep = diagnostics.constants_sweep(cfg.frame_for, cfg.scheme_family(), cfg.gammas, cfg.N,
+                                        cfg.eps)
     rows = [
         (gamma, r.N, r.M, r.epsilon, r.kappa, r.lam, r.kept_rank, r.A_prime_MN)
         for gamma, r in sweep
@@ -354,17 +349,16 @@ def run_constants(cfg: ExperimentConfig) -> Tuple[Sequence[str], List[tuple]]:
 
 def run_ssr(cfg: ExperimentConfig) -> Tuple[Sequence[str], List[tuple]]:
     """Stable sampling rate along an N sweep; -1 marks an unreachable target."""
-    Ns = cfg.N_values
-    N_max = _require_sweep(Ns, "N")
+    N_max = _require_sweep(cfg.N, "N")
     _system_rows(N_max, N_max)  # the first and smallest system of the largest search
     _require_factor_k(cfg)
     family = cfg.scheme_family()
     rows = []
-    for N in Ns:
+    for N in cfg.N:
         frame = cfg.frame_for(N)
         # the search's default grid ends at M = 64 N, above the cap from N = 1449 on
         M_max = min(64 * N, MAX_SYSTEM_VALUES // N)
-        for eps in cfg.epsilons:
+        for eps in cfg.eps:
             theta_M = diagnostics.stable_sampling_rate(frame, family, cfg.theta, eps, M_max=M_max)
             rows.append((N, cfg.theta, eps, -1 if theta_M is None else theta_M))
     return ("N", "theta", "eps", "M_theta"), rows
@@ -372,19 +366,14 @@ def run_ssr(cfg: ExperimentConfig) -> Tuple[Sequence[str], List[tuple]]:
 
 def run_single_approx(cfg: ExperimentConfig) -> Tuple[Sequence[str], List[tuple]]:
     """One approximation at fixed N and M; per-probe errors to CSV, a summary to stdout."""
-    Ns, Ms = cfg.N_values, cfg.M_values
-    _require_sweep(Ns, "N")
-    _require_sweep(Ms, "M")
-    if len(Ns) != 1 or len(Ms) != 1:
+    _require_sweep(cfg.N, "N")
+    _require_sweep(cfg.M, "M")
+    if len(cfg.N) != 1 or len(cfg.M) != 1:
         raise ConfigError("single_approx takes a single N and a single M")
-    N, M = Ns[0], _system_rows(Ms[0], Ns[0])
-    eps = _single_epsilon(cfg)
-    approx = solver.approximate(
-        frames.target_function, cfg.frame_for(N), cfg.scheme_family(), M=M, epsilon=eps
-    )
-    report = solver.error_report(approx, frames.target_function, cfg.probes)
+    N = cfg.N[0]
+    [(_, M, fit, report)] = _fits(cfg, [(N, _system_rows(cfg.M[0], N))])
     print(
-        f"N={N} M={M} eps={eps:g} kept_rank={approx.kept_rank} "
+        f"N={N} M={M} eps={cfg.eps[0]:g} kept_rank={fit.kept_rank} "
         f"max_error={report.max_error:.6e} coeff_norm={report.coefficient_norm:.6e}"
     )
     return ("probe", "error"), list(zip(report.probes, report.errors))
@@ -530,20 +519,8 @@ _PARSER = _Parser(prog="frameapprox", description=__doc__,
                   + "\n".join(f"  {name:<16} {text}" for name, (text, _) in _EXPERIMENTS.items()))
 _PARSER.add_argument("experiment", choices=_EXPERIMENTS, metavar="experiment",
                      help="experiment to run (listed below)")
-_PARSER.add_argument("--frame", choices=("onbk", "onb"),
-                     help="frame family: enriched (onbk) or plain polynomial (onb)")
-_PARSER.add_argument("--K", help="number of enrichment elements")
-_PARSER.add_argument("--nodes", choices=_SCHEME_FAMILIES, help="sampling scheme family")
-_PARSER.add_argument("--N", help="N value or start:step:stop sweep")
-_PARSER.add_argument("--M", help="M value or start:step:stop sweep")
-_PARSER.add_argument("--M-rule", dest="M_rule",
-                     help="M as a function of N, e.g. 2N, 1.5N, or a fixed integer")
-_PARSER.add_argument("--gammas", help="comma list of oversampling ratios")
-_PARSER.add_argument("--eps", help="comma list of truncation thresholds")
-_PARSER.add_argument("--theta", help="stability target for ssr")
-_PARSER.add_argument("--probes", help="comma list of probe points in (0, 1]")
-_PARSER.add_argument("--out", help="output CSV path")
-_PARSER.add_argument("--seed", help="seed for randomized checks")
+for _key, (_, _help, _choices) in _OPTIONS.items():
+    _PARSER.add_argument("--" + _key.replace("_", "-"), choices=_choices, help=_help)
 # accepted only as 1 and ignored, for callers that still pass it; it goes
 # when the benchmark's commands drop it (ROADMAP item 23)
 _PARSER.add_argument("--workers", type=int, choices=(1,), help=argparse.SUPPRESS)

@@ -175,6 +175,12 @@ def test_single_approx_summary(tmp_path, capsys):
     ["ssr", "--N", "5", "--theta", "inf"],
     ["selftest", "--seed", "-1"],  # numpy's generator takes no negative seed
     ["constants", "--N", "5", "--workers", "2"],  # only 1 is accepted
+    # checked whatever the experiment, not only by the one that reads the value
+    ["ssr", "--N", "5", "--gammas", "nan"],
+    ["ssr", "--N", "5", "--M-rule", "nanN"],
+    ["pointwise_error", "--N", "5", "--gammas", "0.5"],
+    ["ssr", "--N", "5", "--M", "0"],
+    ["pointwise_error", "--N", "5", "--eps", ","],  # an empty list
 ])
 def test_invalid_configurations_exit_one(argv, tmp_path, capsys):
     code = cli.main(argv + ["--out", str(tmp_path / "x.csv")])
@@ -270,24 +276,24 @@ def test_second_main_call_builds_no_parser(tmp_path, monkeypatch):
     (["pointwise_error", "--frame", "onbk", "--K", "5", "--nodes", "chebyshev",
       "--M-rule", "1.5N", "--N", "5:5:20", "--eps", "2e-13", "--probes", "0.2,0.5,0.9",
       "--out", "pe.csv"],
-     cli.ExperimentConfig("pointwise_error", K=5, N_values=range(5, 21, 5), M_rule="1.5N",
-                          epsilons=[2e-13], probes=[0.2, 0.5, 0.9], out=Path("pe.csv"))),
+     cli.ExperimentConfig("pointwise_error", K=5, N=range(5, 21, 5), M_rule="1.5N",
+                          eps=[2e-13], probes=[0.2, 0.5, 0.9], out=Path("pe.csv"))),
     (["oversampling", "--K", "2", "--N", "46",
       "--nodes", "legendre", "--M", "40:40:200", "--seed", "3"],
      cli.ExperimentConfig("oversampling", K=2, nodes="legendre",
-                          N_values=range(46, 47), M_values=range(40, 201, 40), seed=3)),
+                          N=range(46, 47), M=range(40, 201, 40), seed=3)),
     (["constants", "--K", "5", "--eps", "1e-5,1e-8", "--gammas", "1,1.5,2,3",
       "--nodes", "equispaced", "--N", "5:5:20"],
-     cli.ExperimentConfig("constants", K=5, nodes="equispaced", N_values=range(5, 21, 5),
-                          gammas=[1.0, 1.5, 2.0, 3.0], epsilons=[1e-5, 1e-8])),
+     cli.ExperimentConfig("constants", K=5, nodes="equispaced", N=range(5, 21, 5),
+                          gammas=[1.0, 1.5, 2.0, 3.0], eps=[1e-5, 1e-8])),
     (["ssr", "--K", "1", "--nodes", "inner", "--theta", "2.5", "--N", "5:5:15",
       "--eps", "1e-5"],
-     cli.ExperimentConfig("ssr", nodes="inner", N_values=range(5, 16, 5), epsilons=[1e-5],
+     cli.ExperimentConfig("ssr", nodes="inner", N=range(5, 16, 5), eps=[1e-5],
                           theta=2.5)),
     (["single_approx", "--frame", "onb", "--K", "0", "--N", "20", "--M", "40",
       "--nodes", "chebyshev-weighted", "--eps", "2e-13"],
      cli.ExperimentConfig("single_approx", frame="onb", K=0, nodes="chebyshev-weighted",
-                          N_values=range(20, 21), M_values=range(40, 41), epsilons=[2e-13])),
+                          N=range(20, 21), M=range(40, 41), eps=[2e-13])),
     (["selftest", "--seed", "7"], cli.ExperimentConfig("selftest", seed=7)),
 ])
 def test_parsed_configuration(argv, expected, tmp_path):

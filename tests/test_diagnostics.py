@@ -425,6 +425,7 @@ def test_ssr_matches_the_full_scan(scheme_family):
 
 
 @pytest.mark.parametrize("N,eps", [(40, 1e-5), (40, 1e-8), (60, 1e-5), (60, 1e-8),
+                                   (70, 1e-5), (80, 1e-5), (90, 1e-5),
                                    (100, 1e-5), (100, 1e-8), (200, 1e-5)])
 def test_ssr_matches_the_full_scan_where_the_power_step_certifies(N, eps):
     # Legendre points with K = 5, where most full-route steps are failed by
