@@ -29,14 +29,18 @@ python -m frameapprox.cli ssr --K 5 --nodes legendre --theta 2 --N 100:100:200 \
   --eps 1e-5,1e-8 --out "$out/ssr_node_blocks.csv"
 python -m frameapprox.cli constants --K 5 --nodes inner --N 60 --gammas 1,2 \
   --eps 1e-5 --out "$out/constants_node_blocks.csv"
-# searches in which the witness test rules out most steps
+# searches in which the witness test rules out most steps, and inner-product
+# searches with K = 5, where the seed's witness acts in five residual
+# directions
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 python -m frameapprox.cli ssr --K 5 --nodes equispaced --theta 2 --N 10 \
   --eps 1e-5 --out "$tmp/equispaced.csv"
 python -m frameapprox.cli ssr --K 5 --nodes chebyshev-weighted --theta 2 --N 20:20:40 \
   --eps 1e-8 --out "$tmp/chebyshev.csv"
-cat "$tmp/equispaced.csv" "$tmp/chebyshev.csv" > "$out/ssr_certified.csv"
+python -m frameapprox.cli ssr --K 5 --nodes inner --theta 2 --N 20:20:60 \
+  --eps 1e-5,1e-8 --out "$tmp/inner.csv"
+cat "$tmp/equispaced.csv" "$tmp/chebyshev.csv" "$tmp/inner.csv" > "$out/ssr_certified.csv"
 # stacked constants sweeps that no preset reaches: Chebyshev points plain
 # and weighted, K = 1, cells with N < 2K, a pure basis, and gammas out of
 # order, of which 1.5 and 1.6 give equal M at N = 1, 3 and 5

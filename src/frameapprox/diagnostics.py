@@ -76,42 +76,43 @@ third witness made searches slower (ROADMAP, "Tried and not planned").
 Before the first full route there are no such vectors, and the first
 step, M = N, would take its SVD only to find them.  Its witness comes
 from the bound above instead.  At M >= N, G* G + eps^2 I = V (Sigma^2 +
-eps^2) V*, so the square of the bound is the largest eigenvalue of the
-symmetric-definite pencil (R* R, G* G + eps^2 I),
+eps^2) V*, so the bound's square is the top eigenvalue of the pencil
+(R* R, G* G + eps^2 I), and a z's test ratio lies within a factor
+sqrt(2) below the root of its quotient ||R z||^2 / (||G z||^2 + eps^2
+||z||^2).  The seed seeks that top in the span of the columns of
+Z = [I_K; -G_Phi* G_Psi], G_Psi the weighted and G_Phi the polynomial
+columns of G: each is one weighted element minus the adjoint of the
+sampled polynomials applied to its samples.  At Gauss points with M = N,
+G_Phi is orthonormal, so G Z is the part of those samples that no
+polynomial explains, while R Z keeps the elements' L2 residuals, which
+the samples see far more weakly.  With Y = G Z, one inverse-iteration
+step (Golub & Van Loan, Matrix Computations, sec. 8.7) on the K x K
+pencil (Z* R* R Z, Y* Y + eps^2 Z* Z) from the ones vector,
 
-    max_z ||R z||^2 / (||G z||^2 + eps^2 ||z||^2),
+    z = Z (Y* Y + eps^2 Z* Z)^+ Z* R* R Z 1,
 
-and since (||G z||^2 + eps^2 ||z||^2)^(1/2) <= ||G z|| + eps ||z|| <=
-sqrt(2) (||G z||^2 + eps^2 ||z||^2)^(1/2), the test's ratio of a z lies
-within a factor sqrt(2) below the square root of its quotient on the
-pencil.  One inverse-iteration step on the pencil (Golub & Van Loan,
-Matrix Computations, sec. 8.7) from the ones vector,
+takes one np.linalg.pinv of a K x K matrix and no SVD of G
+(_residual_witness).  In nine searches with K = 5, at Legendre points
+and with inner products, the small pencil's top is within 0.6% of the
+full one's and 130 to 2e6 times its second eigenvalue, and a second step
+or the exact top moved no full-route step.  The one-step test ratio is
+68.2 at N = 10 and 99.4 at N = 200, eps = 1e-5, and 2213 at N = 60,
+eps = 1e-8, at Legendre points with K = 5; with inner products and
+K = 1 it is 2.29 to 4.48 at N = 10 to 40, eps = 1e-5; all against
+margins of about 2.  pinv runs LAPACK's gesdd, as the scan's SVDs do, so
+it fails only where they would, and the test is homogeneous in z, which
+needs no normalization.  A pure basis (K = 0) has no seed.
 
-    z = (G* G + eps^2 I)^-1 R* R 1,
-
-takes one product G* G and one solve, and no SVD (_pencil_witness).  At
-M = N the pencil's top is far above theta: the N samples see the frame's
-K near-dependent directions much more weakly than the L2 norm does (at
-Legendre points with N = 60, the two largest of them have singular
-values 1.5e-3 and 7e-8 in G against 2.4e-2 and 3e-5 in R), and one step
-of (G* G + eps^2 I)^-1 R* R lifts those directions out of the ones
-vector.  At Legendre points with K = 5 the one-step test ratio is 21.4
-at N = 200, eps = 1e-5 (the pencil's top 112) and 2125 at N = 60,
-eps = 1e-8 (2505), against margins of 2.00 and 2.01, and two or three
-steps changed no full-route step of either search.
-
-The witness test's rounding count below reads only the rounding of R z,
-G z and their norms, so it holds for any z however it was found, and
-M_theta is unchanged by construction.  z is the witness until the first
-full route replaces it; a z that does not rule out the first step is
-replaced at once, and a solve that fails or gives a z that is not finite
-leaves that step to the full route.  At N = 200 the seed costs about
-0.6 ms, against 4.6 ms for the SVD, kappa step and witnesses of M = 200
-that it rules out.  Only the first step is seeded: past it the pencil's
-top falls towards theta, and a seed before every full route, tried,
-ruled out no further step at N = 100 or 200, eps = 1e-5, while the
-N = 60, eps = 1e-8 search paid it at each of its 31 full-route steps and
-got slower.
+The witness test's rounding count below holds for any z however it was
+found, so M_theta is unchanged by construction.  A z that does not rule
+out the first step is replaced at once by the full route.  The seed
+costs about 40 us at N = 10 and 0.12 ms at N = 200, against 4.6 ms there
+for the SVD, kappa step and witnesses of M = 200 that it rules out.
+Only the first step is seeded: past it the pencil's top falls towards
+theta, and an N x N pencil seed before every full route ruled out no
+further step at N = 100 or 200, eps = 1e-5, while the N = 60,
+eps = 1e-8 search paid it at each of its 31 full-route steps and got
+slower.
 
 The grid is scanned in chunks of consecutive steps: as many as fit in
 _CHUNK_VALUES (2^14) stacked matrix values, and always at least one.  A
@@ -214,7 +215,7 @@ theta = 2, a search takes 2 singular-value-only SVDs at eps = 1e-8,
 N = 40 (17 without the power step), 3 at eps = 1e-8, N = 60 (32) and 2 at
 eps = 1e-5, N = 200 (4): kappa's and lambda's at M_theta, and at most one
 more.  The steps that the witnesses leave are mostly certified.  It takes
-the SVD of G at 12 steps at eps = 1e-8, N = 40 (16 without the pencil's
+the SVD of G at 12 steps at eps = 1e-8, N = 40 (16 without the seed's
 witness), at 31 at eps = 1e-8, N = 60 (31) and at 2 at eps = 1e-5,
 N = 200 (3).
 """
@@ -369,7 +370,7 @@ def stable_sampling_rate(
 
     R = build_gram_factor(frame).R
     R_norm = np.linalg.norm(R)
-    Z = None  # the witnesses as columns: the pencil's, then the last full route's
+    Z = None  # the witnesses as columns: the seed's, then the last full route's
     for chunk in _stacks(range(N, M_max + 1, max(1, N // 20)), N):
         G, schemes, _ = _stacked_matrix(frame, scheme_family, chunk)
         Ms = np.array(chunk)
@@ -382,13 +383,12 @@ def stable_sampling_rate(
             margins = theta * (1.0 + x) ** 16
         step = 0
         while step < Ms.size:
-            if Z is None:
+            if Z is None and frame.K:
                 # the first step's witness, without an SVD; the full route
                 # replaces it at once unless it rules that step out
-                Z = _pencil_witness(G[:Ms[0]], R, epsilon)
-                if Z is not None:
-                    RZ_norms = np.linalg.norm(R @ Z, axis=0)
-                    eps_Z_norms = epsilon * np.linalg.norm(Z, axis=0)
+                Z = _residual_witness(G[:Ms[0]], R, epsilon, frame.K)
+                RZ_norms = np.linalg.norm(R @ Z, axis=0)
+                eps_Z_norms = epsilon * np.linalg.norm(Z, axis=0)
             if Z is not None:
                 # ||G z|| per step's segment of rows, for the steps left
                 GZ_norms = np.sqrt(np.add.reduceat(np.square(G[starts[step]:] @ Z),
@@ -417,22 +417,16 @@ def stable_sampling_rate(
     return None
 
 
-def _pencil_witness(G: np.ndarray, R: np.ndarray, epsilon: float) -> Optional[np.ndarray]:
-    """One inverse-iteration step on the pencil (R* R, G* G + eps^2 I) from the ones vector.
+def _residual_witness(G: np.ndarray, R: np.ndarray, epsilon: float, K: int) -> np.ndarray:
+    """One inverse-iteration step on the pencil (R* R, G* G + eps^2 I) in the span of Z.
 
-    The unit z = (G* G + eps^2 I)^-1 R* R 1 / ||.|| as a column (module
-    docstring), or None when the solve fails or z is not finite.
+    Z = [I_K; -G_Phi* G_Psi], and z = Z (Y* Y + eps^2 Z* Z)^+ Z* R* R Z 1
+    with Y = G Z, as a column (module docstring).
     """
-    # an overflow, or a zero or infinite z, leaves a z that is not finite
-    with np.errstate(all="ignore"):
-        A = G.T @ G
-        A.flat[::A.shape[0] + 1] += epsilon ** 2
-        try:
-            z = np.linalg.solve(A, R.T @ R.sum(axis=1))
-        except np.linalg.LinAlgError:
-            return None
-        z /= np.linalg.norm(z)
-    return z[:, None] if np.all(np.isfinite(z)) else None
+    Z = np.concatenate((np.eye(K), -G[:, K:].T @ G[:, :K]))
+    Y, RZ = G @ Z, R @ Z
+    c = np.linalg.pinv(Y.T @ Y + epsilon**2 * (Z.T @ Z)) @ (RZ.T @ RZ.sum(axis=1))
+    return Z @ c[:, None]
 
 
 def _stacks(Ms: Sequence[int], N: int) -> Iterator[Sequence[int]]:

@@ -65,8 +65,11 @@ _BLOCK_VALUES = 2**18
 
 
 def _as_nodes(x) -> np.ndarray:
-    """x as a 1-d array of evaluation points in double."""
-    return np.atleast_1d(np.asarray(x, dtype=float))
+    """x as a 1-d array of evaluation points in double; a scalar is one point."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if x.ndim != 1:
+        raise ValueError(f"evaluation points must form a 1-d array, got shape {x.shape}")
+    return x
 
 
 @lru_cache(maxsize=64)
@@ -127,7 +130,7 @@ def legendre_table(max_degree: int, x) -> np.ndarray:
     capacity = 1 << operator.index(max_degree).bit_length()
     odd, scalars, scale, steps = _recurrence_constants(capacity)
     scale = scale[: max_degree + 1]
-    if x.ndim == 1 and x.size <= _FLOAT_ROUTE_NODES:
+    if x.size <= _FLOAT_ROUTE_NODES:
         steps = steps[: max(max_degree - 1, 0)]
         columns = []
         for t in (2.0 * x - 1.0).tolist():

@@ -61,6 +61,13 @@ def test_element_matrix_enriched_rows():
     assert np.allclose(elems[2:], table, atol=0)
 
 
+def test_points_of_more_than_one_dimension_are_rejected():
+    with pytest.raises(ValueError, match=r"1-d array, got shape \(1, 2\)"):
+        frames.element_matrix(frames.onb_plus_k(6, 1), [[0.1, 0.2]])
+    with pytest.raises(ValueError, match=r"1-d array, got shape \(1, 2\)"):
+        orthopoly.legendre_table(3, [[0.1, 0.2]])
+
+
 def test_element_matrix_domain_errors():
     frame = frames.onb_plus_k(4, 1)
     with pytest.raises(ValueError):
